@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	hlstats [-filter substr] [-csv] [-seed N] [-parallel N] FILE
-//
-// -seed and -parallel exist on every hl* command with the same defaults;
-// hlstats renders a file rather than running a simulation, so here they are
-// accepted for interface uniformity and do not change the output.
+//	hlstats [-filter substr] [-csv] FILE
 package main
 
 import (
@@ -26,8 +22,6 @@ import (
 var (
 	filter = flag.String("filter", "", "only show series whose subsystem/name/label contains this substring")
 	csv    = flag.Bool("csv", false, "emit tables as CSV")
-	_      = flag.Int64("seed", 1, "simulation seed")
-	_      = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
 )
 
 func main() {

@@ -7,31 +7,27 @@
 //
 // Usage:
 //
-//	hltrace [-size N] [-durable=true] [-seed N] [-parallel N]
-//
-// -parallel exists on every hl* command with the same default; the single
-// narrated run here is inherently serial, so it is accepted for interface
-// uniformity and does not change the output.
+//	hltrace [-size N] [-durable=true] [-seed N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"hyperloop"
 	"hyperloop/internal/cluster"
 	"hyperloop/internal/core"
 	"hyperloop/internal/cpusched"
 	"hyperloop/internal/sim"
-	"hyperloop/internal/trace"
+	"hyperloop/internal/span"
 )
 
 var (
 	size    = flag.Int("size", 256, "payload bytes")
 	durable = flag.Bool("durable", true, "interleave gFLUSH")
 	seed    = flag.Int64("seed", 1, "simulation seed")
-	_       = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
 )
 
 func main() {
@@ -49,8 +45,14 @@ func main() {
 	// Let setup traffic (priming, credit seeds) drain before tracing.
 	eng.RunFor(hyperloop.Millisecond)
 
-	col := trace.NewCollector(0)
-	col.AttachAll(cl)
+	bridge := span.NewBridge(0)
+	for i, n := range cl.Nodes {
+		role := fmt.Sprintf("replica%d", i-1)
+		if i == 0 {
+			role = "client"
+		}
+		n.NIC.SetTracer(bridge.Tracer(role))
+	}
 
 	cl.Client().StoreWrite(0, make([]byte, *size))
 	start := eng.Now()
@@ -68,7 +70,25 @@ func main() {
 	}
 
 	fmt.Printf("durable gWRITE of %dB across 3 replicas: %v end to end\n", *size, lat)
-	fmt.Print(col.Render(col.Window(start, start.Add(lat+1)), start))
+	// Bridge windows are (start, end]; shift the start back one tick so the
+	// op's issue instant is included.
+	fmt.Print(render(bridge.Window(start.Add(-1), start.Add(lat)), start))
 	fmt.Println("\nevery row after the client's three posts runs on a replica NIC;")
 	fmt.Println("no replica host CPU appears anywhere in this timeline.")
+}
+
+// render formats events as an aligned timeline relative to base.
+func render(events []span.RoleEvent, base sim.Time) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %-9s %-6s %-10s %s\n", "t(+ns)", "node", "kind", "op", "detail")
+	b.WriteString(strings.Repeat("-", 60))
+	b.WriteByte('\n')
+	for _, e := range events {
+		op := ""
+		if e.Op != 0 {
+			op = e.Op.String()
+		}
+		fmt.Fprintf(&b, "%-10d %-9s %-6s %-10s %s\n", e.At.Sub(base), e.Role, e.Kind, op, e.Info)
+	}
+	return b.String()
 }

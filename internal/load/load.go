@@ -69,13 +69,12 @@ type Config struct {
 	// QoS starts one qos.Controller per group: tenant keysets become
 	// shard-scoped, verdicts flow into per-tenant metric series, and
 	// sustained saturation can fund migration-backed scale-out within each
-	// tenant's budget. Requires the hyperloop arm; forces Metrics on.
+	// tenant's budget. Forces Metrics on.
 	QoS bool
 	// QoSConfig tunes the controllers (zero fields take qos defaults).
 	QoSConfig qos.Config
 
-	// Metrics attaches per-group registries; WithSpans per-group op spans
-	// (HyperLoop arm only).
+	// Metrics attaches per-group registries; WithSpans per-group op spans.
 	Metrics   bool
 	WithSpans bool
 }
@@ -169,9 +168,8 @@ type Result struct {
 	QoSEvents  []qos.Event
 	QoSTenants []qos.TenantState
 
-	// Placements is, per group in group order, the hyperloop arm's final
-	// shard→hosts map (nil for naive) — the audit trail tier-placement
-	// checks read after the run.
+	// Placements is, per group in group order, the final shard→hosts map —
+	// the audit trail tier-placement checks read after the run.
 	Placements [][][]int
 
 	// SpansStarted/Ended report the op-span ledger when WithSpans is set.
@@ -218,9 +216,6 @@ const keysetSize = 128
 func Run(cfg Config) Result {
 	cfg.fill()
 	if cfg.QoS {
-		if cfg.System != "hyperloop" {
-			panic("load: QoS requires the hyperloop arm (scale-out needs the shard plane)")
-		}
 		// The controllers observe tenant series living in the per-group
 		// registries; without them there is nothing to window.
 		cfg.Metrics = true
@@ -248,16 +243,10 @@ func Run(cfg Config) Result {
 		}
 		scfg.Metrics = regs
 	}
-	var srv Server
-	var err error
-	switch cfg.System {
-	case "hyperloop":
-		srv, err = OpenHyperLoop(scfg)
-	case "naive":
-		srv, err = OpenNaive(scfg)
-	default:
+	if cfg.System != "hyperloop" && cfg.System != "naive" {
 		panic(fmt.Sprintf("load: unknown system %q", cfg.System))
 	}
+	srv, err := open(scfg, cfg.System == "naive")
 	if err != nil {
 		panic(err)
 	}
@@ -536,9 +525,7 @@ func Run(cfg Config) Result {
 				res.QoSTenants[i].Degraded = res.QoSTenants[i].Degraded || s.Degraded
 			}
 		}
-		if pl := srv.Plane(g); pl != nil {
-			res.Placements = append(res.Placements, pl.Map.Placements())
-		}
+		res.Placements = append(res.Placements, srv.Plane(g).Map.Placements())
 		if sp := srv.Spans(g); sp != nil {
 			started, ended, _, _ := sp.Counts()
 			res.SpansStarted += started

@@ -81,41 +81,45 @@ func TestRunHyperLoopDeterministicAcrossWorkers(t *testing.T) {
 
 // With QoS on — per-tenant buckets, shard-scoped keysets, and a live
 // controller per group — the accounting contract must still balance
-// exactly, per class and in aggregate.
+// exactly, per class and in aggregate, on either replication backend.
 func TestRunQoSAccountingBalances(t *testing.T) {
-	cfg := tinyConfig("hyperloop")
-	cfg.ShardsPerGroup = 2
-	cfg.HostsPerGroup = 5
-	cfg.Tenants = []TenantClass{
-		{Name: "steady", Weight: 1},
-		{Name: "metered", Weight: 1, RatePerSec: 50_000,
-			SLO: qos.SLO{Budget: qos.Budget{Escrow: 1, StepCost: 1, SpendCap: 1}}},
-	}
-	cfg.Admission.PerTenantQueues = true
-	cfg.QoS = true
-	r := Run(cfg)
-	if err := r.CheckAccounting(); err != nil {
-		t.Fatal(err)
-	}
-	var arrivals, admitted, throttled, acked uint64
-	for _, ts := range r.Tenants {
-		if ts.Admitted+ts.Throttled > ts.Arrivals {
-			t.Errorf("class %s: admitted %d + throttled %d > arrivals %d",
-				ts.Name, ts.Admitted, ts.Throttled, ts.Arrivals)
-		}
-		arrivals += ts.Arrivals
-		admitted += ts.Admitted
-		throttled += ts.Throttled
-		acked += ts.Acked
-	}
-	v := r.Verdicts
-	if arrivals != v.Arrivals || admitted != v.Admitted ||
-		throttled != v.ShedThrottled || acked != v.Acked {
-		t.Fatalf("class sums (%d/%d/%d/%d) disagree with verdicts %+v",
-			arrivals, admitted, throttled, acked, v)
-	}
-	if v.ShedThrottled == 0 {
-		t.Fatal("metered class was never throttled: the QoS bucket is not engaged")
+	for _, system := range []string{"hyperloop", "naive"} {
+		t.Run(system, func(t *testing.T) {
+			cfg := tinyConfig(system)
+			cfg.ShardsPerGroup = 2
+			cfg.HostsPerGroup = 5
+			cfg.Tenants = []TenantClass{
+				{Name: "steady", Weight: 1},
+				{Name: "metered", Weight: 1, RatePerSec: 50_000,
+					SLO: qos.SLO{Budget: qos.Budget{Escrow: 1, StepCost: 1, SpendCap: 1}}},
+			}
+			cfg.Admission.PerTenantQueues = true
+			cfg.QoS = true
+			r := Run(cfg)
+			if err := r.CheckAccounting(); err != nil {
+				t.Fatal(err)
+			}
+			var arrivals, admitted, throttled, acked uint64
+			for _, ts := range r.Tenants {
+				if ts.Admitted+ts.Throttled > ts.Arrivals {
+					t.Errorf("class %s: admitted %d + throttled %d > arrivals %d",
+						ts.Name, ts.Admitted, ts.Throttled, ts.Arrivals)
+				}
+				arrivals += ts.Arrivals
+				admitted += ts.Admitted
+				throttled += ts.Throttled
+				acked += ts.Acked
+			}
+			v := r.Verdicts
+			if arrivals != v.Arrivals || admitted != v.Admitted ||
+				throttled != v.ShedThrottled || acked != v.Acked {
+				t.Fatalf("class sums (%d/%d/%d/%d) disagree with verdicts %+v",
+					arrivals, admitted, throttled, acked, v)
+			}
+			if v.ShedThrottled == 0 {
+				t.Fatal("metered class was never throttled: the QoS bucket is not engaged")
+			}
+		})
 	}
 }
 

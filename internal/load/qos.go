@@ -41,7 +41,7 @@ var errNoSpareShard = errors.New("load: no spare shard left for scale-out")
 // consumed at submit time.
 type groupActuator struct {
 	adm      *Admission
-	pl       *shard.Plane // nil for backends without a control plane
+	pl       *shard.Plane
 	hosts    int
 	replicas int
 	// keysets[i] is tenant i's live keyset; the arrival pump indexes it, so
@@ -54,10 +54,6 @@ type groupActuator struct {
 func (ga *groupActuator) SetRate(i int, rate float64) { ga.adm.SetRate(i, rate) }
 
 func (ga *groupActuator) ScaleOut(i int, hint qos.Hint, done func(error)) {
-	if ga.pl == nil {
-		done(errors.New("load: qos scale-out needs the hyperloop plane"))
-		return
-	}
 	if ga.spare >= ga.pl.Shards() {
 		done(errNoSpareShard)
 		return

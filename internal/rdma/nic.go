@@ -886,22 +886,17 @@ func (n *NIC) remoteWrite(pkt *packet) Status {
 	return StatusSuccess
 }
 
-// recvConsume consumes a RECV WQE — from the QP's private queue or its
-// attached shared receive queue — for an inbound SEND (scattering data) or
-// WRITE_IMM (immediate only).
+// recvConsume consumes a RECV WQE from the QP's receive queue for an
+// inbound SEND (scattering data) or WRITE_IMM (immediate only).
 func (n *NIC) recvConsume(q *QP, pkt *packet, data []byte, immOnly bool) {
-	rq := q.rq
-	if q.srq != nil {
-		rq = q.srq.rq
-	}
-	rwqe, ok := rq.peek()
+	rwqe, ok := q.rq.peek()
 	if !ok {
 		n.counters.RNRs++
 		n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: StatusRNR}, 0)
 		q.enterError()
 		return
 	}
-	rq.advance()
+	q.rq.advance()
 	status := StatusSuccess
 	if !immOnly {
 		remaining := data
@@ -1026,22 +1021,6 @@ func pktKindName(k packetKind) string {
 
 func le64(b []byte) uint64       { return binary.LittleEndian.Uint64(b) }
 func putLE64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-
-// DebugQPState reports internal queue state for diagnostics: head opcode,
-// ownership, wait bookkeeping. Test scaffolding only.
-func (q *QP) DebugQPState() string {
-	wqe, ok := q.sq.peek()
-	if !ok {
-		return fmt.Sprintf("sq empty, waiting=%v", q.waiting)
-	}
-	cq := q.nic.cqs[wqe.WaitCQ]
-	total := uint64(0)
-	if cq != nil {
-		total = cq.total
-	}
-	return fmt.Sprintf("head=%v owned=%v waitCQ=%d count=%d consumed=%d cqTotal=%d waiting=%v sqBusy=%v",
-		wqe.Opcode, wqe.HWOwned, wqe.WaitCQ, wqe.WaitCount, q.waitConsumed[wqe.WaitCQ], total, q.waiting, q.sqBusy)
-}
 
 // DestroyQP tears a queue pair down: pending work flushes with errors,
 // future posts fail, and late inbound packets are dropped. The chain

@@ -52,7 +52,6 @@ type QP struct {
 	peerNode fabric.NodeID
 	peerQPN  uint32
 	loopback bool
-	srq      *SRQ // if set, inbound SEND/WRITE_IMM consume from the shared pool
 
 	sqBusy       bool
 	dbPending    int               // doorbell rings not yet charged into a WQE initiation

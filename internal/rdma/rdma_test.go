@@ -649,105 +649,6 @@ func TestSendTableWriteKicksStalledQP(t *testing.T) {
 	}
 }
 
-func TestSharedReceiveQueue(t *testing.T) {
-	// Two senders feed one receiver through distinct QPs sharing an SRQ —
-	// the paper's multi-client building block (§5).
-	eng := sim.NewEngine()
-	net := fabric.New(eng, fabric.Config{JitterFrac: -1}, sim.NewRand(1))
-	c1 := NewNIC(eng, net, Config{})
-	c2 := NewNIC(eng, net, Config{})
-	srv := NewNIC(eng, net, Config{})
-
-	srq := srv.CreateSRQ(32)
-	sink := srv.RegisterRAM(1024, AccessLocalWrite)
-	recvCQ := srv.CreateCQ()
-	var got []uint64
-	recvCQ.SetCallback(func(e CQE) {
-		if e.Status != StatusSuccess {
-			t.Fatalf("srq recv status %v", e.Status)
-		}
-		got = append(got, e.Imm)
-	})
-
-	mkPair := func(cli *NIC) *QP {
-		a := cli.CreateQP(cli.CreateCQ(), cli.CreateCQ(), 16, 1)
-		b := srv.CreateQP(srv.CreateCQ(), recvCQ, 1, 1)
-		b.AttachSRQ(srq)
-		Connect(a, b)
-		a.SendCQ().SetAutoDrain(true)
-		return a
-	}
-	q1, q2 := mkPair(c1), mkPair(c2)
-
-	// Post a shared pool with distinct scatter targets per slot.
-	for i := 0; i < 8; i++ {
-		if _, err := srq.PostRecv(WQE{WRID: uint64(i),
-			SGEs: []SGE{{LKey: sink.LKey(), Offset: uint64(64 * i), Length: 64}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	buf1 := c1.RegisterRAM(16, 0)
-	buf2 := c2.RegisterRAM(16, 0)
-	copy(buf1.Backing().(*RAMBacking).Bytes(), "from-c1")
-	copy(buf2.Backing().(*RAMBacking).Bytes(), "from-c2")
-	for i := 0; i < 3; i++ {
-		q1.PostSend(WQE{Opcode: OpSend, Imm: uint64(100 + i),
-			SGEs: []SGE{{LKey: buf1.LKey(), Offset: 0, Length: 7}}})
-		q2.PostSend(WQE{Opcode: OpSend, Imm: uint64(200 + i),
-			SGEs: []SGE{{LKey: buf2.LKey(), Offset: 0, Length: 7}}})
-	}
-	eng.Drain()
-
-	if len(got) != 6 {
-		t.Fatalf("srq delivered %d sends, want 6 (imms %v)", len(got), got)
-	}
-	if srq.Posted() != 2 {
-		t.Fatalf("srq pool has %d left, want 2", srq.Posted())
-	}
-	// Both clients' payloads landed somewhere in the shared sink.
-	all := string(sink.Backing().(*RAMBacking).Bytes())
-	if !bytes.Contains([]byte(all), []byte("from-c1")) || !bytes.Contains([]byte(all), []byte("from-c2")) {
-		t.Fatal("shared sink missing a client's payload")
-	}
-}
-
-func TestSRQExhaustionRNR(t *testing.T) {
-	eng := sim.NewEngine()
-	net := fabric.New(eng, fabric.Config{JitterFrac: -1}, sim.NewRand(1))
-	cli := NewNIC(eng, net, Config{})
-	srv := NewNIC(eng, net, Config{})
-	srq := srv.CreateSRQ(4)
-	a := cli.CreateQP(cli.CreateCQ(), cli.CreateCQ(), 16, 1)
-	b := srv.CreateQP(srv.CreateCQ(), srv.CreateCQ(), 1, 1)
-	b.AttachSRQ(srq)
-	Connect(a, b)
-	buf := cli.RegisterRAM(16, 0)
-	// One send with an empty pool → RNR.
-	a.PostSend(WQE{Opcode: OpSend, Signaled: true, WRID: 1,
-		SGEs: []SGE{{LKey: buf.LKey(), Offset: 0, Length: 4}}})
-	eng.Drain()
-	c := a.SendCQ().Poll(4)
-	if len(c) != 1 || c[0].Status != StatusRNR {
-		t.Fatalf("expected RNR on empty SRQ: %+v", c)
-	}
-}
-
-func TestSRQCrossNICRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	net := fabric.New(eng, fabric.Config{JitterFrac: -1}, sim.NewRand(1))
-	n1 := NewNIC(eng, net, Config{})
-	n2 := NewNIC(eng, net, Config{})
-	srq := n1.CreateSRQ(4)
-	q := n2.CreateQP(n2.CreateCQ(), n2.CreateCQ(), 4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-NIC SRQ attach did not panic")
-		}
-	}()
-	q.AttachSRQ(srq)
-}
-
 // Property: DecodeWQE tolerates arbitrary slot images (a remote writer can
 // place any bytes in a registered queue) without panicking, and clamps the
 // SGE count.

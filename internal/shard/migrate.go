@@ -3,8 +3,8 @@ package shard
 import (
 	"fmt"
 
-	"hyperloop/internal/core"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/wal"
 )
 
 // Live shard migration.
@@ -47,7 +47,7 @@ type migration struct {
 	p         *Plane
 	s         *Shard
 	destHosts []int
-	dest      *core.Group
+	dest      wal.Replicator
 	copyBase  int
 	copyEnd   int
 	chunks    int
@@ -106,7 +106,7 @@ func (m *migration) quiesce() {
 // across in durable gWRITE chunks.
 func (m *migration) bulk() {
 	p, s := m.p, m.s
-	m.dest = core.NewWithNodes(p.Eng, p.client, p.hostNodes(m.destHosts), p.cfg.Group)
+	m.dest = p.newRep(m.destHosts)
 	m.copyBase, m.copyEnd = s.db.DataUsed()
 	p.note("shard %d: bulk copy [%#x,%#x) (%d bytes, %d-byte chunks)",
 		s.ID, m.copyBase, m.copyEnd, m.copyEnd-m.copyBase, p.cfg.ChunkBytes)
@@ -124,21 +124,13 @@ func (m *migration) copyChunk(off int) {
 		size = m.p.cfg.ChunkBytes
 	}
 	m.chunks++
-	m.destWrite(off, size, func(err error) {
+	m.dest.Write(off, size, true, func(err error) {
 		if err != nil {
 			m.abort(fmt.Errorf("shard %d: bulk copy at %#x: %w", m.s.ID, off, err))
 			return
 		}
 		m.copyChunk(off + size)
 	})
-}
-
-// destWrite issues one durable gWRITE on the destination group.
-func (m *migration) destWrite(off, size int, done func(error)) {
-	err := m.dest.GWrite(off, size, true, func(r core.Result) { done(r.Err) })
-	if err != nil {
-		done(err)
-	}
 }
 
 // fence bumps the epoch word locally and pushes it durably to the
@@ -155,7 +147,7 @@ func (m *migration) fence() {
 	next := s.epoch + 1
 	p.client.StoreWrite(s.base+epochOff, epochBytes(next))
 	p.note("shard %d: epoch fence %d -> %d", s.ID, s.epoch, next)
-	m.destWrite(s.base+epochOff, 8, func(err error) {
+	m.dest.Write(s.base+epochOff, 8, true, func(err error) {
 		if err != nil {
 			// The fence never reached the destination: the source still owns
 			// the epoch. Roll the local word back and abort.
@@ -170,7 +162,7 @@ func (m *migration) fence() {
 // cutover flips ownership to the destination and replays the WAL tail.
 func (m *migration) cutover(epoch uint64) {
 	p, s := m.p, m.s
-	old := s.rep.g
+	old := s.rep
 	oldHosts := s.replicas
 	s.epoch = epoch
 	if p.cfg.Spans != nil {
@@ -186,7 +178,7 @@ func (m *migration) cutover(epoch uint64) {
 	for _, h := range m.destHosts {
 		delete(s.former, h)
 	}
-	s.rep.g = m.dest
+	s.rep = m.dest
 	s.replicas = append([]int(nil), m.destHosts...)
 	if err := p.Map.Place(s.ID, m.destHosts); err != nil {
 		// Arguments were validated up front; a failure here is a bug.
@@ -205,7 +197,7 @@ func (m *migration) cutover(epoch uint64) {
 		}
 		s.db.ResetReplicaReads()
 		s.db.EnableReplicaReads(p.client, p.hostNodes(m.destHosts))
-		old.Close()
+		closeRep(old)
 		s.migrations++
 		p.note("shard %d: migration complete (epoch %d)", s.ID, epoch)
 		m.finish(nil)
@@ -216,7 +208,7 @@ func (m *migration) cutover(epoch uint64) {
 func (m *migration) abort(err error) {
 	m.p.note("shard %d: migration aborted: %v", m.s.ID, err)
 	if m.dest != nil {
-		m.dest.Close()
+		closeRep(m.dest)
 	}
 	m.finish(err)
 }

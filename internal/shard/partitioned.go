@@ -38,6 +38,11 @@ type PartitionedConfig struct {
 	// CRAQ enables clean/dirty read serving on every group's plane exactly
 	// as in Config.CRAQ.
 	CRAQ bool
+	// Naive replicates every shard over the Naive-RDMA baseline (event-mode
+	// replica CPUs on every hop) instead of a HyperLoop group. Group and the
+	// fusion path then go unused; everything else — layout, placement,
+	// routing, migration — is the same plane.
+	Naive bool
 	// InterFabric models the link between groups (default 3µs propagation —
 	// an inter-rack hop, wider than the intra-group 1.5µs). Its MinLatency
 	// is the engine lookahead; cross-group forwards pay its deterministic
@@ -154,6 +159,7 @@ func NewPartitionedPlane(cfg PartitionedConfig) *PartitionedPlane {
 			Fabric:      cfg.Fabric,
 			NIC:         cfg.NIC,
 			CRAQ:        cfg.CRAQ,
+			naive:       cfg.Naive,
 			HostTiers:   cfg.HostTiers,
 			TierNIC:     cfg.TierNIC,
 			Hints:       cfg.Hints,
@@ -229,12 +235,6 @@ const groupSalt = "\x00group\x00"
 func (pp *PartitionedPlane) HomeGroup(key string) int {
 	return pp.GroupMap.Route(groupSalt + key)
 }
-
-// GroupKey returns the salted form of key that group-level rings route.
-// External planes that must agree with HomeGroup (the Naive-RDMA serving
-// backend routes the same keyspace over its own group map) hash this through
-// a NewHashMap of the same group count.
-func GroupKey(key string) string { return groupSalt + key }
 
 // LocalPuts and ForwardedPuts report per-issuing-group put counts; call
 // between Run invocations.

@@ -9,6 +9,7 @@ import (
 	"hyperloop/internal/fabric"
 	"hyperloop/internal/kvstore"
 	"hyperloop/internal/metrics"
+	"hyperloop/internal/naive"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/span"
@@ -89,6 +90,10 @@ type Config struct {
 	// its shard and issue epoch, and migration cutovers record epoch fences
 	// (nil = disabled). Observation-only either way.
 	Spans *span.Recorder
+
+	// naive replicates every shard over the Naive-RDMA baseline (event
+	// mode) instead of a HyperLoop group; set via PartitionedConfig.Naive.
+	naive bool
 }
 
 func (c *Config) fill() {
@@ -121,45 +126,15 @@ func (c *Config) fill() {
 	}
 }
 
-// groupRep adapts a shard's *current* group to wal.Replicator; migration
-// swaps g underneath while the WAL and kvstore keep their handle (the
-// switch-group pattern wal.Reattach's generation fencing is built for).
-type groupRep struct{ g *core.Group }
-
-func wrapRes(done func(error)) func(core.Result) {
-	if done == nil {
-		return nil
-	}
-	return func(r core.Result) { done(r.Err) }
-}
-
-func (r *groupRep) Write(off, size int, durable bool, done func(error)) {
-	if err := r.g.GWrite(off, size, durable, wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
-func (r *groupRep) Memcpy(dst, src, size int, durable bool, done func(error)) {
-	if err := r.g.GMemcpy(dst, src, size, durable, wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
-func (r *groupRep) Flush(done func(error)) {
-	if err := r.g.GFlush(wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
 // Shard is one keyspace partition: a region of every store window, a
-// HyperLoop group over its current replica set, and a kvstore head.
+// replication group over its current replica set, and a kvstore head.
 type Shard struct {
 	ID    int
 	plane *Plane
 	base  int // region base offset in the store window
 
-	epoch    uint64 // bumps at every migration cutover
-	rep      *groupRep
+	epoch    uint64         // bumps at every migration cutover
+	rep      wal.Replicator // current replica set; migration swaps it
 	db       *kvstore.DB
 	replicas []int // current replica host indexes (mirrors Map.Placement)
 
@@ -192,8 +167,14 @@ func (s *Shard) Ops() uint64 { return s.ops }
 // LatencyEWMA returns the exponentially weighted put latency.
 func (s *Shard) LatencyEWMA() sim.Duration { return s.latEWMA }
 
-// Group returns the shard's current HyperLoop group.
-func (s *Shard) Group() *core.Group { return s.rep.g }
+// Group returns the shard's current HyperLoop group, or nil when the plane
+// runs the Naive-RDMA baseline.
+func (s *Shard) Group() *core.Group {
+	if r, ok := s.rep.(wal.CoreReplicator); ok {
+		return r.G
+	}
+	return nil
+}
 
 // DB returns the shard's kvstore head.
 func (s *Shard) DB() *kvstore.DB { return s.db }
@@ -239,7 +220,8 @@ type Event struct {
 func (e Event) String() string { return fmt.Sprintf("%v %s", e.At, e.What) }
 
 // Plane is the sharded data plane: a shared front-end (cluster node 0)
-// driving one HyperLoop group per shard over a pooled replica fleet.
+// driving one replication group per shard (HyperLoop, or the Naive-RDMA
+// baseline) over a pooled replica fleet.
 type Plane struct {
 	Eng    *sim.Engine
 	Cl     *cluster.Cluster
@@ -372,6 +354,26 @@ func (p *Plane) hostNodes(hosts []int) []*cluster.Node {
 	return out
 }
 
+// newRep builds a replication group over hosts: a HyperLoop group, or an
+// event-mode Naive-RDMA chain when the plane runs the baseline.
+func (p *Plane) newRep(hosts []int) wal.Replicator {
+	nodes := p.hostNodes(hosts)
+	if p.cfg.naive {
+		return wal.NaiveReplicator{G: naive.NewWithNodes(p.Eng, p.client, nodes, naive.Config{Mode: naive.Event})}
+	}
+	return wal.CoreReplicator{G: core.NewWithNodes(p.Eng, p.client, nodes, p.cfg.Group)}
+}
+
+// closeRep stops a replication group built by newRep.
+func closeRep(r wal.Replicator) {
+	switch r := r.(type) {
+	case wal.CoreReplicator:
+		r.G.Close()
+	case wal.NaiveReplicator:
+		r.G.Close()
+	}
+}
+
 // buildShard wires shard sid's group and store over its placed hosts.
 func (p *Plane) buildShard(sid int, opened func(error)) *Shard {
 	hosts := p.Map.Placement(sid)
@@ -382,7 +384,7 @@ func (p *Plane) buildShard(sid int, opened func(error)) *Shard {
 		replicas: hosts,
 		former:   make(map[int]bool),
 	}
-	s.rep = &groupRep{g: core.NewWithNodes(p.Eng, p.client, p.hostNodes(hosts), p.cfg.Group)}
+	s.rep = p.newRep(hosts)
 	// The epoch word starts at 0 everywhere; write it locally so the head's
 	// view is explicit rather than implicit zeros.
 	p.client.StoreWrite(s.base+epochOff, epochBytes(0))
@@ -662,7 +664,7 @@ func (p *Plane) Close() {
 		p.reb.Stop()
 	}
 	for _, s := range p.shards {
-		s.rep.g.Close()
+		closeRep(s.rep)
 	}
 	p.open = false
 }

@@ -85,6 +85,16 @@ func TestPlacementAntiAffinity(t *testing.T) {
 
 // --- plane: end-to-end over the simulated cluster ---
 
+// forEachBackend runs body once per replication backend as a subtest.
+func forEachBackend(t *testing.T, body func(t *testing.T, naive bool)) {
+	for _, b := range []struct {
+		name  string
+		naive bool
+	}{{"hyperloop", false}, {"naive", true}} {
+		t.Run(b.name, func(t *testing.T) { body(t, b.naive) })
+	}
+}
+
 func testPlane(t *testing.T, cfg Config) (*sim.Engine, *Plane) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -125,56 +135,63 @@ func putAll(t *testing.T, eng *sim.Engine, p *Plane, keys []string, val func(str
 	}
 }
 
+// Both replication backends serve the same plane: routing, puts, head
+// reads, and one-sided replica reads are backend-independent.
 func TestPlanePutGetAcrossShards(t *testing.T) {
-	eng, p := testPlane(t, Config{Shards: 4, Replicas: 3, Hosts: 6, Seed: 7})
-	defer p.Close()
-
-	var keys []string
-	for i := 0; i < 120; i++ {
-		keys = append(keys, fmt.Sprintf("key-%04d", i))
-	}
-	putAll(t, eng, p, keys, func(k string) []byte { return []byte("v:" + k) })
-
-	shardsHit := map[int]bool{}
-	for _, k := range keys {
-		v, ok := p.Get(k)
-		if !ok || string(v) != "v:"+k {
-			t.Fatalf("Get(%q) = %q, %v", k, v, ok)
+	forEachBackend(t, func(t *testing.T, naive bool) {
+		eng, p := testPlane(t, Config{Shards: 4, Replicas: 3, Hosts: 6, Seed: 7, naive: naive})
+		defer p.Close()
+		if (p.Shard(0).Group() == nil) != naive {
+			t.Fatalf("naive=%v plane built shard 0 over %T", naive, p.Shard(0).rep)
 		}
-		shardsHit[p.Route(k).ID] = true
-	}
-	if len(shardsHit) != 4 {
-		t.Fatalf("keys landed on %d shards, want 4", len(shardsHit))
-	}
 
-	// One-sided replica reads see committed values with correct epochs.
-	done := false
-	p.Commit(func(err error) {
-		if err != nil {
-			t.Fatal(err)
+		var keys []string
+		for i := 0; i < 120; i++ {
+			keys = append(keys, fmt.Sprintf("key-%04d", i))
 		}
-		done = true
+		putAll(t, eng, p, keys, func(k string) []byte { return []byte("v:" + k) })
+
+		shardsHit := map[int]bool{}
+		for _, k := range keys {
+			v, ok := p.Get(k)
+			if !ok || string(v) != "v:"+k {
+				t.Fatalf("Get(%q) = %q, %v", k, v, ok)
+			}
+			shardsHit[p.Route(k).ID] = true
+		}
+		if len(shardsHit) != 4 {
+			t.Fatalf("keys landed on %d shards, want 4", len(shardsHit))
+		}
+
+		// One-sided replica reads see committed values with correct epochs.
+		done := false
+		p.Commit(func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		})
+		if !eng.RunUntil(func() bool { return done }, eng.Now().Add(10*sim.Second)) {
+			t.Fatal("commit stalled")
+		}
+		var got []byte
+		read := false
+		p.GetFromReplica("key-0000", func(v []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, read = v, true
+		})
+		if !eng.RunUntil(func() bool { return read }, eng.Now().Add(sim.Second)) {
+			t.Fatal("replica read stalled")
+		}
+		if string(got) != "v:key-0000" {
+			t.Fatalf("replica read = %q", got)
+		}
+		if p.StaleServed() != 0 {
+			t.Fatalf("stale serves = %d", p.StaleServed())
+		}
 	})
-	if !eng.RunUntil(func() bool { return done }, eng.Now().Add(10*sim.Second)) {
-		t.Fatal("commit stalled")
-	}
-	var got []byte
-	read := false
-	p.GetFromReplica("key-0000", func(v []byte, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, read = v, true
-	})
-	if !eng.RunUntil(func() bool { return read }, eng.Now().Add(sim.Second)) {
-		t.Fatal("replica read stalled")
-	}
-	if string(got) != "v:key-0000" {
-		t.Fatalf("replica read = %q", got)
-	}
-	if p.StaleServed() != 0 {
-		t.Fatalf("stale serves = %d", p.StaleServed())
-	}
 }
 
 // keysFor returns n keys that all route to shard sid.
@@ -202,125 +219,127 @@ func freeHosts(p *Plane, sid, want int) []int {
 }
 
 func TestLiveMigrationPreservesKeys(t *testing.T) {
-	eng, p := testPlane(t, Config{
-		Shards: 2, Replicas: 3, Hosts: 8,
-		ChunkBytes: 2048, Seed: 11,
-	})
-	defer p.Close()
+	forEachBackend(t, func(t *testing.T, naive bool) {
+		eng, p := testPlane(t, Config{
+			Shards: 2, Replicas: 3, Hosts: 8,
+			ChunkBytes: 2048, Seed: 11, naive: naive,
+		})
+		defer p.Close()
 
-	const sid = 0
-	before := keysFor(p, sid, 80)
-	putAll(t, eng, p, before, func(k string) []byte { return []byte("pre:" + k) })
+		const sid = 0
+		before := keysFor(p, sid, 80)
+		putAll(t, eng, p, before, func(k string) []byte { return []byte("pre:" + k) })
 
-	dest := freeHosts(p, sid, 3)
-	oldHosts := p.Shard(sid).Replicas()
-	var migErr error
-	migDone := false
-	if err := p.Migrate(sid, dest, func(err error) {
-		migErr = err
-		migDone = true
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Writes racing the migration: issued while the quiesce/copy is in
-	// flight, they append to the source chain and must survive the cutover
-	// via WAL catch-up on the destination.
-	during := keysFor(p, sid, 100)[80:]
-	ackedDuring := 0
-	for _, k := range during {
-		if _, err := p.Put(k, []byte("mid:"+k), func(err error) {
-			if err != nil {
-				t.Errorf("racing put: %v", err)
-			}
-			ackedDuring++
+		dest := freeHosts(p, sid, 3)
+		oldHosts := p.Shard(sid).Replicas()
+		var migErr error
+		migDone := false
+		if err := p.Migrate(sid, dest, func(err error) {
+			migErr = err
+			migDone = true
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !eng.RunUntil(func() bool { return migDone && ackedDuring >= len(during) },
-		eng.Now().Add(10*sim.Second)) {
-		t.Fatalf("migration stalled: done=%v acked=%d/%d", migDone, ackedDuring, len(during))
-	}
-	if migErr != nil {
-		t.Fatalf("migration failed: %v", migErr)
-	}
 
-	s := p.Shard(sid)
-	if s.Epoch() != 1 || s.Migrations() != 1 {
-		t.Fatalf("epoch=%d migrations=%d, want 1/1", s.Epoch(), s.Migrations())
-	}
-	if fmt.Sprint(s.Replicas()) != fmt.Sprint(dest) {
-		t.Fatalf("replicas %v, want %v", s.Replicas(), dest)
-	}
-	if fmt.Sprint(p.Map.Placement(sid)) != fmt.Sprint(dest) {
-		t.Fatalf("map placement %v, want %v", p.Map.Placement(sid), dest)
-	}
-
-	// Every key — preloaded and racing — still reads back.
-	for _, k := range before {
-		if v, ok := p.Get(k); !ok || string(v) != "pre:"+k {
-			t.Fatalf("lost preloaded key %q (%q,%v)", k, v, ok)
+		// Writes racing the migration: issued while the quiesce/copy is in
+		// flight, they append to the source chain and must survive the cutover
+		// via WAL catch-up on the destination.
+		during := keysFor(p, sid, 100)[80:]
+		ackedDuring := 0
+		for _, k := range during {
+			if _, err := p.Put(k, []byte("mid:"+k), func(err error) {
+				if err != nil {
+					t.Errorf("racing put: %v", err)
+				}
+				ackedDuring++
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, k := range during {
-		if v, ok := p.Get(k); !ok || string(v) != "mid:"+k {
-			t.Fatalf("lost racing key %q (%q,%v)", k, v, ok)
+		if !eng.RunUntil(func() bool { return migDone && ackedDuring >= len(during) },
+			eng.Now().Add(10*sim.Second)) {
+			t.Fatalf("migration stalled: done=%v acked=%d/%d", migDone, ackedDuring, len(during))
 		}
-	}
+		if migErr != nil {
+			t.Fatalf("migration failed: %v", migErr)
+		}
 
-	// Drain commits, then rebuild the shard's region from a destination
-	// replica's bytes: the moved data must be physically present there.
-	committed := false
-	p.Commit(func(err error) {
+		s := p.Shard(sid)
+		if s.Epoch() != 1 || s.Migrations() != 1 {
+			t.Fatalf("epoch=%d migrations=%d, want 1/1", s.Epoch(), s.Migrations())
+		}
+		if fmt.Sprint(s.Replicas()) != fmt.Sprint(dest) {
+			t.Fatalf("replicas %v, want %v", s.Replicas(), dest)
+		}
+		if fmt.Sprint(p.Map.Placement(sid)) != fmt.Sprint(dest) {
+			t.Fatalf("map placement %v, want %v", p.Map.Placement(sid), dest)
+		}
+
+		// Every key — preloaded and racing — still reads back.
+		for _, k := range before {
+			if v, ok := p.Get(k); !ok || string(v) != "pre:"+k {
+				t.Fatalf("lost preloaded key %q (%q,%v)", k, v, ok)
+			}
+		}
+		for _, k := range during {
+			if v, ok := p.Get(k); !ok || string(v) != "mid:"+k {
+				t.Fatalf("lost racing key %q (%q,%v)", k, v, ok)
+			}
+		}
+
+		// Drain commits, then rebuild the shard's region from a destination
+		// replica's bytes: the moved data must be physically present there.
+		committed := false
+		p.Commit(func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed = true
+		})
+		if !eng.RunUntil(func() bool { return committed }, eng.Now().Add(10*sim.Second)) {
+			t.Fatal("commit stalled")
+		}
+		regionCfg := kvstore.Config{
+			LogBase:  sid*(1<<20) + regionHdr,
+			LogSize:  1 << 18,
+			DataBase: sid*(1<<20) + regionHdr + 1<<18,
+			DataSize: 1<<20 - regionHdr - 1<<18,
+		}
+		destNode := p.Pool()[dest[0]]
+		got, err := kvstore.Rebuild(func(off, size int) []byte {
+			return destNode.StoreBytes(off, size)
+		}, regionCfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("rebuild on destination: %v", err)
 		}
-		committed = true
-	})
-	if !eng.RunUntil(func() bool { return committed }, eng.Now().Add(10*sim.Second)) {
-		t.Fatal("commit stalled")
-	}
-	regionCfg := kvstore.Config{
-		LogBase:  sid*(1<<20) + regionHdr,
-		LogSize:  1 << 18,
-		DataBase: sid*(1<<20) + regionHdr + 1<<18,
-		DataSize: 1<<20 - regionHdr - 1<<18,
-	}
-	destNode := p.Pool()[dest[0]]
-	got, err := kvstore.Rebuild(func(off, size int) []byte {
-		return destNode.StoreBytes(off, size)
-	}, regionCfg)
-	if err != nil {
-		t.Fatalf("rebuild on destination: %v", err)
-	}
-	for _, k := range append(append([]string{}, before...), during...) {
-		if _, ok := got[k]; !ok {
-			t.Fatalf("key %q missing from destination replica", k)
+		for _, k := range append(append([]string{}, before...), during...) {
+			if _, ok := got[k]; !ok {
+				t.Fatalf("key %q missing from destination replica", k)
+			}
 		}
-	}
 
-	// Epoch fencing: the new owners carry epoch 1, the former owners the
-	// stale epoch 0.
-	for _, h := range dest {
-		if e := epochWord(p, h, sid); e != 1 {
-			t.Fatalf("dest host %d epoch word = %d, want 1", h, e)
+		// Epoch fencing: the new owners carry epoch 1, the former owners the
+		// stale epoch 0.
+		for _, h := range dest {
+			if e := epochWord(p, h, sid); e != 1 {
+				t.Fatalf("dest host %d epoch word = %d, want 1", h, e)
+			}
 		}
-	}
-	for _, h := range oldHosts {
-		if contains(dest, h) {
-			continue
+		for _, h := range oldHosts {
+			if contains(dest, h) {
+				continue
+			}
+			if e := epochWord(p, h, sid); e != 0 {
+				t.Fatalf("former host %d epoch word = %d, want 0", h, e)
+			}
 		}
-		if e := epochWord(p, h, sid); e != 0 {
-			t.Fatalf("former host %d epoch word = %d, want 0", h, e)
+		if fmt.Sprint(s.FormerOwners()) == fmt.Sprint([]int{}) {
+			t.Fatal("no former owners recorded")
 		}
-	}
-	if fmt.Sprint(s.FormerOwners()) == fmt.Sprint([]int{}) {
-		t.Fatal("no former owners recorded")
-	}
-	if p.StaleServed() != 0 {
-		t.Fatalf("stale serves = %d", p.StaleServed())
-	}
+		if p.StaleServed() != 0 {
+			t.Fatalf("stale serves = %d", p.StaleServed())
+		}
+	})
 }
 
 // epochWord reads host h's epoch word for shard sid.
