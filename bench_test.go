@@ -250,6 +250,7 @@ func BenchmarkGWriteHot(b *testing.B) {
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
 	tb.Client().StoreWrite(0, make([]byte, 1024))
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
@@ -312,6 +313,7 @@ func BenchmarkGCASHot(b *testing.B) {
 	eng := NewEngine()
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
@@ -330,6 +332,7 @@ func BenchmarkGMemcpyHot(b *testing.B) {
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
 	tb.Client().StoreWrite(0, make([]byte, 1024))
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {

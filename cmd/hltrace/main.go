@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -32,12 +33,21 @@ var (
 
 func main() {
 	flag.Parse()
+	out, err := run(*size, *durable, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out)
+}
+
+// run traces one gWRITE of size bytes and returns the rendered timeline.
+func run(size int, durable bool, seed int64) (string, error) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Config{
 		Nodes:     4,
 		StoreSize: 1 << 20,
-		Seed:      *seed,
-		Host:      cpusched.Config{Seed: *seed},
+		Seed:      seed,
+		Host:      cpusched.Config{Seed: seed},
 	})
 	g := core.New(cl, core.Config{Depth: 16})
 	defer g.Close()
@@ -54,27 +64,29 @@ func main() {
 		n.NIC.SetTracer(bridge.Tracer(role))
 	}
 
-	cl.Client().StoreWrite(0, make([]byte, *size))
+	cl.Client().StoreWrite(0, make([]byte, size))
 	start := eng.Now()
 	done := false
 	var lat sim.Duration
-	if err := g.GWrite(0, *size, *durable, func(r core.Result) {
+	if err := g.GWrite(0, size, durable, func(r core.Result) {
 		lat = r.Latency
 		done = true
 	}); err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	eng.RunUntil(func() bool { return done }, eng.Now().Add(hyperloop.Second))
 	if !done {
-		log.Fatal("gWRITE stalled")
+		return "", errors.New("gWRITE stalled")
 	}
 
-	fmt.Printf("durable gWRITE of %dB across 3 replicas: %v end to end\n", *size, lat)
+	var b strings.Builder
+	fmt.Fprintf(&b, "durable gWRITE of %dB across 3 replicas: %v end to end\n", size, lat)
 	// Bridge windows are (start, end]; shift the start back one tick so the
 	// op's issue instant is included.
-	fmt.Print(render(bridge.Window(start.Add(-1), start.Add(lat)), start))
-	fmt.Println("\nevery row after the client's three posts runs on a replica NIC;")
-	fmt.Println("no replica host CPU appears anywhere in this timeline.")
+	b.WriteString(render(bridge.Window(start.Add(-1), start.Add(lat)), start))
+	b.WriteString("\nevery row after the client's three posts runs on a replica NIC;\n")
+	b.WriteString("no replica host CPU appears anywhere in this timeline.\n")
+	return b.String(), nil
 }
 
 // render formats events as an aligned timeline relative to base.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"hyperloop/internal/cluster"
 	"hyperloop/internal/rdma"
@@ -112,16 +113,62 @@ type channel struct {
 	tplGate      int                // absolute slot index of the template gate
 	tplCond      int                // absolute slot index of the CondRearm
 	loopAttempts uint64             // chain instances consumed by completed loops
+
+	word [8]byte // scratch for 8-byte credit, budget and result-map accesses
+}
+
+// postScratch is the working set of one posting round (a client batch or a
+// replica replenish): the descriptor lists, the SGEs they point at and the
+// metadata message. The verbs layer encodes each descriptor into its queue
+// slot as it posts and keeps no reference, so later rounds reuse it.
+type postScratch struct {
+	down, loop []rdma.WQE
+	sges       []rdma.SGE
+	msg        []byte
+}
+
+// sgeList copies list into the round's SGE store and returns the copy.
+func (s *postScratch) sgeList(list ...rdma.SGE) []rdma.SGE {
+	start := len(s.sges)
+	s.sges = append(s.sges, list...)
+	return s.sges[start:len(s.sges):len(s.sges)]
+}
+
+// scratchPool recycles posting scratch across rounds and groups. What a
+// round takes is emptied first, so reuse cannot change what gets posted.
+var scratchPool = sync.Pool{New: func() any { return new(postScratch) }}
+
+// maxScratchEntries bounds the descriptors and SGEs a recycled postScratch
+// may hold room for. Steady-state rounds fit; priming rounds (Depth chains
+// per hop) share a scratch of their own that is dropped after set-up.
+const maxScratchEntries = 4096
+
+// reset empties s for the next posting round, keeping its capacity.
+func (s *postScratch) reset() {
+	s.down, s.loop, s.sges, s.msg = s.down[:0], s.loop[:0], s.sges[:0], s.msg[:0]
+}
+
+// takeScratch returns an empty postScratch for one posting round.
+func takeScratch() *postScratch {
+	s := scratchPool.Get().(*postScratch)
+	s.reset()
+	return s
+}
+
+// putScratch recycles s unless it grew past maxScratchEntries.
+func putScratch(s *postScratch) {
+	if cap(s.down)+cap(s.loop)+cap(s.sges) <= maxScratchEntries {
+		scratchPool.Put(s)
+	}
 }
 
 // minCredit returns the lowest replenished-op count across hops: the client
 // may issue sequence numbers strictly below it.
 func (c *channel) minCredit() uint64 {
-	var buf [8]byte
 	min := ^uint64(0)
 	for i := range c.hops {
-		c.creditMR.Backing().ReadAt(8*i, buf[:])
-		if v := le64(buf[:]); v < min {
+		c.creditMR.Backing().ReadAt(8*i, c.word[:])
+		if v := le64(c.word[:]); v < min {
 			min = v
 		}
 	}
@@ -265,19 +312,18 @@ func (g *Group) buildChannel(kind chanKind) *channel {
 }
 
 // prime pre-posts the initial rings: client ack RECVs and every hop's op
-// chains.
-func (c *channel) prime() {
+// chains, each hop's round built in s.
+func (c *channel) prime(s *postScratch) {
 	for k := 0; k < c.g.cfg.Depth; k++ {
 		if _, err := c.ackQP.PostRecv(rdma.WQE{WRID: uint64(k)}); err != nil {
 			panic(fmt.Sprintf("core: prime ack recv: %v", err))
 		}
 	}
 	for i := range c.hops {
-		c.replenish(i)
+		c.replenishWith(s, i)
 		// Setup is host-coordinated: seed the credit region directly.
-		var buf [8]byte
-		putLE64(buf[:], uint64(c.hops[i].posted))
-		c.creditMR.Backing().WriteAt(8*i, buf[:])
+		putLE64(c.word[:], uint64(c.hops[i].posted))
+		c.creditMR.Backing().WriteAt(8*i, c.word[:])
 	}
 	if c.kind == chLoop {
 		c.postLoopTemplate()
@@ -308,27 +354,34 @@ func (c *channel) replenishable(ri int) int {
 // then the new credit is pushed to the client (an RDMA WRITE issued by the
 // replica CPU, off the critical path).
 func (c *channel) replenish(ri int) int {
+	s := takeScratch()
+	defer putScratch(s)
+	return c.replenishWith(s, ri)
+}
+
+// replenishWith is replenish building its round in s.
+func (c *channel) replenishWith(s *postScratch, ri int) int {
 	n := c.replenishable(ri)
 	if n == 0 {
 		return 0
 	}
 	h := c.hops[ri]
-	var down, loop []rdma.WQE
+	s.reset()
 	for i := 0; i < n; i++ {
-		if err := c.chainWQEs(ri, h.posted, &down, &loop); err != nil {
+		if err := c.chainWQEs(s, ri, h.posted); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
 			return i
 		}
 		h.posted++
 	}
-	if len(down) > 0 {
-		if _, err := h.down.PostSendBatch(down, rdma.RawOwnership); err != nil {
+	if len(s.down) > 0 {
+		if _, err := h.down.PostSendBatch(s.down, rdma.RawOwnership); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
 			return n
 		}
 	}
-	if len(loop) > 0 {
-		if _, err := h.loop.PostSendBatch(loop, rdma.RawOwnership); err != nil {
+	if len(s.loop) > 0 {
+		if _, err := h.loop.PostSendBatch(s.loop, rdma.RawOwnership); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
 			return n
 		}
@@ -341,9 +394,8 @@ func (c *channel) replenish(ri int) int {
 // region.
 func (c *channel) pushCredit(ri int) {
 	h := c.hops[ri]
-	var buf [8]byte
-	putLE64(buf[:], uint64(h.posted))
-	h.credMR.Backing().WriteAt(0, buf[:])
+	putLE64(c.word[:], uint64(h.posted))
+	h.credMR.Backing().WriteAt(0, c.word[:])
 	if _, err := h.credQP.PostSend(rdma.WQE{
 		Opcode: rdma.OpWrite, RKey: c.creditMR.RKey(), RAddr: uint64(8 * ri),
 		SGEs: []rdma.SGE{{LKey: h.credMR.LKey(), Offset: 0, Length: 8}},
@@ -373,15 +425,20 @@ func (c *channel) ackOff(k int) int {
 }
 
 // chainWQEs assembles the WQE chain for absolute op index k at hop ri: the
-// upstream RECV posts immediately; send-queue descriptors append to *down
-// and *loop with their ownership bits set (held placeholders stay
+// upstream RECV posts immediately; send-queue descriptors append to s.down
+// and s.loop with their ownership bits set (held placeholders stay
 // host-owned), for the caller to post as one fused batch per queue. This is
 // the replica-CPU work HyperLoop keeps off the critical path.
-func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
+func (c *channel) chainWQEs(s *postScratch, ri, k int) error {
 	h := c.hops[ri]
 	tail := ri == len(c.hops)-1
 	kk := uint64(k)
 	stg := c.stagingSize(ri)
+	// This hop's staging slot for op k: what it forwards (or acks) next.
+	var staged rdma.SGE
+	if h.staging != nil {
+		staged = rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}
+	}
 
 	// Held placeholder rewritten by the RECV scatter.
 	held := rdma.WQE{Opcode: rdma.OpNop, WRID: kk}
@@ -391,125 +448,117 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		base := k * c.slotsSQ
 		var sges []rdma.SGE
 		if !tail {
-			sges = append(sges, rdma.SGE{
+			slots := rdma.SGE{
 				LKey:   h.down.SQTable().MR().LKey(),
 				Offset: uint64(h.down.SQTable().SlotOffset(base + 1)),
 				Length: uint32(c.manipLen),
-			})
+			}
 			if stg > 0 {
-				sges = append(sges, rdma.SGE{
-					LKey:   h.staging.LKey(),
-					Offset: uint64(c.stagingOff(ri, k)),
-					Length: uint32(stg),
-				})
+				sges = s.sgeList(slots, staged)
+			} else {
+				sges = s.sgeList(slots)
 			}
 		}
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
 		if tail {
-			*down = append(*down, rdma.WQE{
+			s.down = append(s.down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
 			})
 			return nil
 		}
-		*down = append(*down, held, held) // WRITE, FLUSH / NOP
+		s.down = append(s.down, held, held) // WRITE, FLUSH / NOP
 		var fwd []rdma.SGE
 		if stg > 0 {
-			fwd = []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+			fwd = s.sgeList(staged)
 		}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
 		return nil
 
 	case chCAS, chLoop:
 		lbase := k * c.slotsLQ
-		sges := []rdma.SGE{{
+		sges := s.sgeList(rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}, {
-			LKey:   h.staging.LKey(),
-			Offset: uint64(c.stagingOff(ri, k)),
-			Length: uint32(stg),
-		}}
+		}, staged)
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
-		*loop = append(*loop,
+		s.loop = append(s.loop,
 			rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true},
 			held) // CAS / MaskFAdd / NOP
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
-		ackSGE := []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
+		ackSGE := s.sgeList(staged)
 		if tail {
-			*down = append(*down, rdma.WQE{
+			s.down = append(s.down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
 				SGEs: ackSGE,
 			})
 			return nil
 		}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: ackSGE})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: ackSGE})
 		return nil
 
 	case chWriteIf:
 		lbase := k * c.slotsLQ
 		// The RECV peels this hop's GUARD+WRITE images into adjacent loop
 		// slots; the rest (downstream images, payload, observed map) stages.
-		sges := []rdma.SGE{{
+		sges := s.sgeList(rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}, {
-			LKey:   h.staging.LKey(),
-			Offset: uint64(c.stagingOff(ri, k)),
-			Length: uint32(stg),
-		}}
+		}, staged)
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
-		*loop = append(*loop,
+		s.loop = append(s.loop,
 			rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true},
 			held, // GUARD
 			held) // predicated WRITE
 		// Guard and write are both signaled; a failed guard substitutes a
 		// PredFail CQE for the skipped write, so the count is constant.
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 2, WRID: kk, HWOwned: true})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 2, WRID: kk, HWOwned: true})
 		if tail {
 			mapOff := c.stagingOff(ri, k) + c.g.cfg.PredPayloadCap
-			*down = append(*down, rdma.WQE{
+			s.down = append(s.down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
-				SGEs: []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(mapOff), Length: uint32(8 * len(c.hops))}},
+				SGEs: s.sgeList(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(mapOff), Length: uint32(8 * len(c.hops))}),
 			})
 			return nil
 		}
-		fwd := []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: s.sgeList(staged)})
 		return nil
 
 	case chMemcpy:
 		lbase := k * c.slotsLQ
-		sges := []rdma.SGE{{
+		slots := rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}}
+		}
+		var sges []rdma.SGE
 		if stg > 0 {
-			sges = append(sges, rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
+			sges = s.sgeList(slots, staged)
+		} else {
+			sges = s.sgeList(slots)
 		}
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
-		*loop = append(*loop,
+		s.loop = append(s.loop,
 			rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true},
 			held, // local WRITE (copy)
 			held) // FLUSH / NOP
 		// Both loop ops are signaled, so the forward waits for two CQEs.
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 2, WRID: kk, HWOwned: true})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 2, WRID: kk, HWOwned: true})
 		if tail {
-			*down = append(*down, rdma.WQE{
+			s.down = append(s.down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
 			})
@@ -517,18 +566,18 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		}
 		var fwd []rdma.SGE
 		if stg > 0 {
-			fwd = []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+			fwd = s.sgeList(staged)
 		}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
 		return nil
 
 	case chFlush:
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk}); err != nil {
 			return err
 		}
-		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
+		s.down = append(s.down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
 		if tail {
-			*down = append(*down, rdma.WQE{
+			s.down = append(s.down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
 			})
@@ -536,7 +585,7 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		}
 		// Flush the next replica's store (0-byte READ), then forward.
 		next := c.g.replicas[ri+1]
-		*down = append(*down,
+		s.down = append(s.down,
 			rdma.WQE{Opcode: rdma.OpRead, Signaled: true, WRID: kk, HWOwned: true, RKey: next.Store.RKey()},
 			rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true})
 		return nil
@@ -585,12 +634,11 @@ func (c *channel) finish(o *op, err error) {
 // readResultMap copies the gCAS result map out of the ack ring before the
 // slot can be reused.
 func (c *channel) readResultMap(seq uint64) []uint64 {
-	n := len(c.g.replicas)
-	buf := make([]byte, 8*n)
-	c.ackMR.Backing().ReadAt(c.ackOff(int(seq)), buf)
-	out := make([]uint64, n)
+	out := make([]uint64, len(c.g.replicas))
+	off := c.ackOff(int(seq))
 	for i := range out {
-		out[i] = le64(buf[8*i:])
+		c.ackMR.Backing().ReadAt(off+8*i, c.word[:])
+		out[i] = le64(c.word[:])
 	}
 	return out
 }
@@ -606,8 +654,7 @@ func (c *channel) onAck(e rdma.CQE) {
 		c.g.fail(fmt.Errorf("%w: %s spurious ack imm=%d", ErrGroupFailed, c.kind, e.Imm))
 		return
 	}
-	o := c.pending[0]
-	c.pending = c.pending[1:]
+	o := popOp(&c.pending)
 	if e.Imm != o.seq {
 		c.g.fail(fmt.Errorf("%w: %s ack order violation: imm=%d want %d", ErrGroupFailed, c.kind, e.Imm, o.seq))
 		return
@@ -672,9 +719,7 @@ func (c *channel) pump() {
 		if cr := int(c.minCredit() - c.issued); n > cr {
 			n = cr
 		}
-		batch := c.waiting[:n:n]
-		c.waiting = c.waiting[n:]
-		c.sendBatch(batch)
+		c.sendBatch(n)
 	}
 	if len(c.waiting) > 0 && len(c.pending) < c.g.cfg.MaxInflight && !c.pumpArmed {
 		c.pumpArmed = true
@@ -683,6 +728,21 @@ func (c *channel) pump() {
 			c.pump()
 		})
 	}
+}
+
+// popOp removes and returns the head of queue q. A queue drained to empty
+// rewinds to the start of its array, so one that keeps cycling through
+// empty (a closed loop) reuses a single allocation.
+func popOp(q *[]*op) *op {
+	s := *q
+	o := s[0]
+	s[0] = nil
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return o
 }
 
 func maxInt(a, b int) int {

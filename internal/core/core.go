@@ -185,8 +185,9 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicas []*cluster.Nod
 	for _, k := range kinds {
 		g.channels[k] = g.buildChannel(k)
 	}
+	primer := new(postScratch) // Depth chains per round: too big for the pool
 	for _, k := range kinds {
-		g.channels[k].prime()
+		g.channels[k].prime(primer)
 	}
 	g.startReplenishers()
 	return g

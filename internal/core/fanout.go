@@ -295,12 +295,11 @@ func (g *FanoutGroup) send(o *op) {
 	slotOff := (k % g.cfg.Depth) * 2 * rdma.SlotSize * len(g.backups)
 	msg := make([]byte, 0, slotBytes)
 	for _, b := range g.backups {
-		img := (&rdma.WQE{
+		msg = appendImage(msg, &rdma.WQE{
 			Opcode: rdma.OpWrite, Signaled: true, HWOwned: true, WRID: o.seq,
 			RKey: b.Store.RKey(), RAddr: uint64(o.off),
 			SGEs: []rdma.SGE{{LKey: g.primary.Store.LKey(), Offset: uint64(o.off), Length: uint32(o.size)}},
-		}).EncodeImage()
-		msg = append(msg, img...)
+		})
 	}
 	g.cliStaging.Backing().WriteAt(slotOff, msg)
 

@@ -78,12 +78,48 @@ func (c Config) Latency(size int) sim.Duration {
 }
 
 type port struct {
+	net      *Network
 	handler  Handler
 	txFree   sim.Time // when the egress port finishes its current frame
 	rxFree   sim.Time // when the ingress port finishes its current frame
 	txBytes  uint64
 	rxBytes  uint64
 	messages uint64
+	// inflight holds the messages scheduled for delivery at this port, in
+	// delivery order: each message's ingress end (rxEnd) is at or after the
+	// previous one's, and the engine fires same-instant events in schedule
+	// order, so the delivery events for a port fire in push order and each
+	// one pops the head.
+	inflight msgRing
+}
+
+// msgRing is a FIFO of messages on a power-of-two ring. It grows only when
+// full, so its size tracks the most messages ever in flight to one port,
+// not the run length.
+type msgRing struct {
+	buf  []Message
+	head int
+	n    int
+}
+
+func (r *msgRing) push(m Message) {
+	if r.n == len(r.buf) {
+		grown := make([]Message, max(2*len(r.buf), 8))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = m
+	r.n++
+}
+
+func (r *msgRing) pop() Message {
+	m := r.buf[r.head]
+	r.buf[r.head] = Message{} // drop the payload reference
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return m
 }
 
 // Network is the shared fabric. Attach NICs, then Send between them.
@@ -117,7 +153,7 @@ func (n *Network) Attach(handler Handler) NodeID {
 	if handler == nil {
 		panic("fabric: nil handler")
 	}
-	n.ports = append(n.ports, &port{handler: handler})
+	n.ports = append(n.ports, &port{net: n, handler: handler})
 	return NodeID(len(n.ports) - 1)
 }
 
@@ -163,14 +199,22 @@ func (n *Network) Send(msg Message) {
 	dst.rxBytes += uint64(msg.Size)
 	dst.messages++
 
-	n.eng.ScheduleAt(rxEnd, func() {
-		if n.cut[[2]NodeID{msg.From, msg.To}] {
-			n.dropped++
-			return
-		}
-		n.delivered++
-		dst.handler(msg)
-	})
+	dst.inflight.push(msg)
+	n.eng.ScheduleCallAt(rxEnd, deliverHead, dst)
+}
+
+// deliverHead is the delivery event of a port: it pops the port's oldest
+// in-flight message and hands it over, unless its link was cut meanwhile.
+func deliverHead(p any) {
+	dst := p.(*port)
+	msg := dst.inflight.pop()
+	n := dst.net
+	if n.cut[[2]NodeID{msg.From, msg.To}] {
+		n.dropped++
+		return
+	}
+	n.delivered++
+	dst.handler(msg)
 }
 
 // Cut severs the directed link a→b; in-flight messages are dropped at

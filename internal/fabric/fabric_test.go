@@ -302,3 +302,24 @@ func TestConfigLookaheadBounds(t *testing.T) {
 		t.Fatalf("delivery %v, Latency-based prediction %v", got, want)
 	}
 }
+
+// BenchmarkFabricSend is the fabric rung of the benchmark ladder: one
+// message sent and delivered. Delivery is a call-form engine event over the
+// destination port's in-flight ring, so this reports 0 allocs/op.
+func BenchmarkFabricSend(b *testing.B) {
+	eng := sim.NewEngine()
+	net := newNet(eng)
+	delivered := 0
+	a := net.Attach(func(Message) {})
+	dst := net.Attach(func(Message) { delivered++ })
+	payload := new(int)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Send(Message{From: a, To: dst, Size: 1024, Payload: payload})
+		eng.Drain()
+	}
+	if delivered != b.N {
+		b.Fatalf("delivered %d/%d", delivered, b.N)
+	}
+}

@@ -26,6 +26,7 @@ type Device struct {
 	volatile []byte
 	durable  []byte
 	dirty    intervalSet
+	clip     []interval // scratch for the dirty ranges a flush visits
 
 	writes      uint64
 	stores      uint64
@@ -117,7 +118,8 @@ func (d *Device) MarkDirty(off, n int) {
 func (d *Device) Flush(off, n int) int {
 	d.check(off, n)
 	synced := 0
-	for _, iv := range d.dirty.overlap(off, off+n) {
+	d.clip = d.dirty.appendOverlap(d.clip[:0], off, off+n)
+	for _, iv := range d.clip {
 		copy(d.durable[iv.lo:iv.hi], d.volatile[iv.lo:iv.hi])
 		synced += iv.hi - iv.lo
 	}
@@ -136,13 +138,15 @@ func (d *Device) DirtyBytes() int { return d.dirty.total() }
 // IsDirty reports whether any byte in [off, off+n) is volatile.
 func (d *Device) IsDirty(off, n int) bool {
 	d.check(off, n)
-	return len(d.dirty.overlap(off, off+n)) > 0
+	d.clip = d.dirty.appendOverlap(d.clip[:0], off, off+n)
+	return len(d.clip) > 0
 }
 
 // PowerFail simulates losing power: all un-flushed NIC-cache contents are
 // discarded and the live view reverts to durable state.
 func (d *Device) PowerFail() {
-	for _, iv := range d.dirty.overlap(0, len(d.volatile)) {
+	d.clip = d.dirty.appendOverlap(d.clip[:0], 0, len(d.volatile))
+	for _, iv := range d.clip {
 		copy(d.volatile[iv.lo:iv.hi], d.durable[iv.lo:iv.hi])
 	}
 	d.dirty.removeAll()
@@ -182,16 +186,24 @@ func (d *Device) Stats() Stats {
 // interval is a half-open dirty range.
 type interval struct{ lo, hi int }
 
-// intervalSet maintains sorted, disjoint, merged intervals.
+// intervalSet maintains sorted, disjoint, merged intervals. add and remove
+// build the new list in spare, the array the list before last lived in, and
+// swap: the set allocates only when it outgrows both arrays.
 type intervalSet struct {
-	ivs []interval
+	ivs   []interval
+	spare []interval
+}
+
+// commit installs out, built in s.spare, as the interval list.
+func (s *intervalSet) commit(out []interval) {
+	s.ivs, s.spare = out, s.ivs[:0]
 }
 
 func (s *intervalSet) add(lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	out := s.ivs[:0:0]
+	out := s.spare[:0]
 	inserted := false
 	for _, iv := range s.ivs {
 		switch {
@@ -215,14 +227,14 @@ func (s *intervalSet) add(lo, hi int) {
 	if !inserted {
 		out = append(out, interval{lo, hi})
 	}
-	s.ivs = out
+	s.commit(out)
 }
 
 func (s *intervalSet) remove(lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	out := s.ivs[:0:0]
+	out := s.spare[:0]
 	for _, iv := range s.ivs {
 		if iv.hi <= lo || iv.lo >= hi {
 			out = append(out, iv)
@@ -235,13 +247,15 @@ func (s *intervalSet) remove(lo, hi int) {
 			out = append(out, interval{hi, iv.hi})
 		}
 	}
-	s.ivs = out
+	s.commit(out)
 }
 
-func (s *intervalSet) removeAll() { s.ivs = nil }
+func (s *intervalSet) removeAll() { s.ivs = s.ivs[:0] }
 
-func (s *intervalSet) overlap(lo, hi int) []interval {
-	var out []interval
+func (s *intervalSet) overlap(lo, hi int) []interval { return s.appendOverlap(nil, lo, hi) }
+
+// appendOverlap appends the parts of the set inside [lo, hi) to out.
+func (s *intervalSet) appendOverlap(out []interval, lo, hi int) []interval {
 	for _, iv := range s.ivs {
 		if iv.hi <= lo || iv.lo >= hi {
 			continue

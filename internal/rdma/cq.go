@@ -26,7 +26,7 @@ type CQ struct {
 	entries   []CQE
 	total     uint64 // completions ever pushed (monotone; WAIT watches this)
 	cb        func(CQE)
-	waiters   []func() // queues stalled on a WAIT against this CQ
+	waiters   []*QP // queues stalled on a WAIT against this CQ
 	autoDrain bool
 
 	// Timer CQs (CreateTimerCQ) self-complete on a fixed virtual-time grid
@@ -91,17 +91,25 @@ func (c *CQ) push(e CQE) {
 	if len(c.waiters) > 0 {
 		ws := c.waiters
 		c.waiters = nil
-		for _, w := range ws {
-			w()
+		for _, q := range ws {
+			q.waiting = false
+			q.nic.kick(q)
+		}
+		// Reuse the drained list unless a re-kicked queue registered anew
+		// (which started a fresh list).
+		if c.waiters == nil {
+			clear(ws)
+			c.waiters = ws[:0]
 		}
 	}
 }
 
-// addWaiter registers a re-kick callback for a queue blocked on this CQ.
-// Waiting on a timer CQ lazily arms its next grid tick: an idle timer
-// (nothing waiting) costs no events at all.
-func (c *CQ) addWaiter(fn func()) {
-	c.waiters = append(c.waiters, fn)
+// addWaiter registers queue q, blocked on a WAIT against this CQ, for a
+// re-kick on the next completion. Waiting on a timer CQ lazily arms its
+// next grid tick: an idle timer (nothing waiting) costs no events at all.
+func (c *CQ) addWaiter(q *QP) {
+	q.waiting = true
+	c.waiters = append(c.waiters, q)
 	c.armTimer()
 }
 
@@ -115,9 +123,13 @@ func (c *CQ) armTimer() {
 	c.timerArmed = true
 	now := c.nic.eng.Now()
 	next := sim.Time(0).Add((sim.Duration(now)/c.timerPeriod + 1) * c.timerPeriod)
-	c.nic.eng.ScheduleAt(next, func() {
-		c.timerArmed = false
-		c.nic.counters.TimerTicks++
-		c.push(CQE{Opcode: OpNop, Status: StatusSuccess})
-	})
+	c.nic.eng.ScheduleCallAt(next, timerTick, c)
+}
+
+// timerTick delivers one tick of a timer CQ.
+func timerTick(a any) {
+	c := a.(*CQ)
+	c.timerArmed = false
+	c.nic.counters.TimerTicks++
+	c.push(CQE{Opcode: OpNop, Status: StatusSuccess})
 }

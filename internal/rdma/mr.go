@@ -13,7 +13,8 @@ type Backing interface {
 	// ReadAt copies len(dst) bytes starting at off into dst.
 	ReadAt(off int, dst []byte)
 	// WriteAt copies src to off. For NVM backings the bytes are volatile
-	// (NIC cache) until Flush.
+	// (NIC cache) until Flush. Implementations must not retain src: the NIC
+	// reuses its slot scratch and payload buffers as soon as WriteAt returns.
 	WriteAt(off int, src []byte)
 	// Flush makes [off, off+n) durable. No-op for RAM.
 	Flush(off, n int)

@@ -39,6 +39,13 @@ type packet struct {
 	readLen int
 	reqID   uint64
 	status  Status
+	rx      *NIC // receiving NIC, set when the packet enters its Rx pipeline
+	from    *QP  // responses: the QP the response leaves through
+	wire    int  // deferred responses: bytes charged on the wire
+	// buf is the gather buffer, recycled with the packet. Only a gathered
+	// request payload (data) aliases it, and the receiver copies that out
+	// before the packet is freed; READ response data is never pooled.
+	buf []byte
 }
 
 // TraceEvent is one NIC-level action, emitted to an attached Tracer. The
@@ -100,6 +107,9 @@ type NIC struct {
 
 	counters Counters
 	tracer   Tracer
+
+	freePkts []*packet // recycled packets (newPacket / freePacket)
+	word     [8]byte   // scratch for 8-byte local reads and writes
 
 	// Fault-injection state: stallUntil freezes pipeline starts until the
 	// given instant; slowdown (>1) scales per-unit processing costs.
@@ -317,36 +327,24 @@ func (n *NIC) advanceSQ(q *QP) {
 			need := q.waitConsumed[wqe.WaitCQ] + uint64(wqe.WaitCount)
 			if cq.total < need {
 				if !q.waiting {
-					q.waiting = true
-					cq.addWaiter(func() {
-						q.waiting = false
-						n.kick(q)
-					})
+					cq.addWaiter(q)
 				}
 				return
 			}
-			n.trace("wait", q.qpn, OpWait, wqe.WRID, fmt.Sprintf("fired cq=%d count=%d", wqe.WaitCQ, wqe.WaitCount))
+			if n.tracer != nil {
+				n.trace("wait", q.qpn, OpWait, wqe.WRID, fmt.Sprintf("fired cq=%d count=%d", wqe.WaitCQ, wqe.WaitCount))
+			}
 			q.waitConsumed[wqe.WaitCQ] = need
 			q.sq.advance()
 			if wqe.Signaled {
-				seq := q.execSeq
-				q.execSeq++
-				wqe := wqe
-				q.deliverInOrder(seq, func() {
-					q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpWait, Status: StatusSuccess, QPN: q.qpn})
-				})
+				q.deliverInOrder(q.nextExec(), completion{signaled: true,
+					cqe: CQE{WRID: wqe.WRID, Opcode: OpWait, Status: StatusSuccess, QPN: q.qpn}})
 			}
 			continue
 		case OpNop:
 			q.sq.advance()
-			seq := q.execSeq
-			q.execSeq++
-			wqe := wqe
-			q.deliverInOrder(seq, func() {
-				if wqe.Signaled {
-					q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpNop, Status: StatusSuccess, QPN: q.qpn})
-				}
-			})
+			q.deliverInOrder(q.nextExec(), completion{signaled: wqe.Signaled,
+				cqe: CQE{WRID: wqe.WRID, Opcode: OpNop, Status: StatusSuccess, QPN: q.qpn}})
 			continue
 		case OpGuard:
 			if !n.execGuard(q, wqe) {
@@ -359,27 +357,35 @@ func (n *NIC) advanceSQ(q *QP) {
 			}
 			continue
 		default:
-			n.trace("exec", q.qpn, wqe.Opcode, wqe.WRID,
-				fmt.Sprintf("raddr=%d len=%d", wqe.RAddr, totalSGELen(wqe.SGEs)))
+			gatherLen := totalSGELen(wqe.SGEs)
+			if n.tracer != nil {
+				n.trace("exec", q.qpn, wqe.Opcode, wqe.WRID, fmt.Sprintf("raddr=%d len=%d", wqe.RAddr, gatherLen))
+			}
 			q.sq.advance()
 			q.sqBusy = true
 			n.counters.WQEsExecuted++
-			gatherLen := 0
-			for _, sge := range wqe.SGEs {
-				gatherLen += int(sge.Length)
-			}
 			cost := n.scaledCost(n.cfg.WQEProcess + n.cfg.dmaTime(gatherLen) + q.takeDoorbellCharge())
-			wqeCopy := wqe
-			seq := q.execSeq
-			q.execSeq++
-			n.eng.ScheduleAt(n.stallStart(n.eng.Now()).Add(cost), func() {
-				q.sqBusy = false
-				n.initiate(q, wqeCopy, seq)
-				n.advanceSQ(q)
-			})
+			// Park the WQE for initiation, with SGEs copied out of the
+			// table's decode scratch.
+			q.initWQE, q.initSeq = wqe, q.nextExec()
+			if len(wqe.SGEs) > 0 {
+				q.initWQE.SGEs = q.initSGEs[:copy(q.initSGEs[:], wqe.SGEs)]
+			}
+			n.eng.ScheduleCallAt(n.stallStart(n.eng.Now()).Add(cost), initiateHead, q)
 			return
 		}
 	}
+}
+
+// initiateHead is the event that ends a send queue's WQE processing: the
+// WQE parked in initWQE goes on the wire and the queue moves on.
+func initiateHead(a any) {
+	q := a.(*QP)
+	w, seq := q.initWQE, q.initSeq
+	q.initWQE = WQE{}
+	q.sqBusy = false
+	q.nic.initiate(q, w, seq)
+	q.nic.kick(q)
 }
 
 // readLocalU64 fetches the 8-byte word addressed by w.SGEs[i] from local
@@ -393,9 +399,8 @@ func (n *NIC) readLocalU64(w WQE, i int) (uint64, bool) {
 	if mr == nil || !mr.contains(int(sge.Offset), 8) {
 		return 0, false
 	}
-	var b [8]byte
-	mr.read(int(sge.Offset), b[:])
-	return le64(b[:]), true
+	mr.read(int(sge.Offset), n.word[:])
+	return le64(n.word[:]), true
 }
 
 // writeLocalU64 stores v at the location addressed by sge.
@@ -404,9 +409,8 @@ func (n *NIC) writeLocalU64(sge SGE, v uint64) bool {
 	if mr == nil || !mr.contains(int(sge.Offset), 8) {
 		return false
 	}
-	var b [8]byte
-	putLE64(b[:], v)
-	mr.write(int(sge.Offset), b[:])
+	putLE64(n.word[:], v)
+	mr.write(int(sge.Offset), n.word[:])
 	return true
 }
 
@@ -438,19 +442,19 @@ func (n *NIC) execGuard(q *QP, wqe WQE) bool {
 		st = StatusPredFail
 	}
 	if wqe.Signaled {
-		seq := q.execSeq
-		q.execSeq++
-		wqe := wqe
-		q.deliverInOrder(seq, func() {
-			q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpGuard, Status: st, QPN: q.qpn, Imm: obs})
-		})
+		q.deliverInOrder(q.nextExec(), completion{signaled: true,
+			cqe: CQE{WRID: wqe.WRID, Opcode: OpGuard, Status: st, QPN: q.qpn, Imm: obs}})
 	}
 	if matched {
-		n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("pass obs=%x", obs))
+		if n.tracer != nil {
+			n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("pass obs=%x", obs))
+		}
 		return true
 	}
 	n.counters.ProgBranches++
-	n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("skip %d obs=%x", wqe.ProgA, obs))
+	if n.tracer != nil {
+		n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("skip %d obs=%x", wqe.ProgA, obs))
+	}
 	for s := uint64(0); s < wqe.ProgA; s++ {
 		sk, ok := q.sq.peek()
 		if !ok {
@@ -458,12 +462,8 @@ func (n *NIC) execGuard(q *QP, wqe WQE) bool {
 		}
 		q.sq.advance()
 		if sk.Signaled {
-			seq := q.execSeq
-			q.execSeq++
-			sk := sk
-			q.deliverInOrder(seq, func() {
-				q.sendCQ.push(CQE{WRID: sk.WRID, Opcode: sk.Opcode, Status: StatusPredFail, QPN: q.qpn})
-			})
+			q.deliverInOrder(q.nextExec(), completion{signaled: true,
+				cqe: CQE{WRID: sk.WRID, Opcode: sk.Opcode, Status: StatusPredFail, QPN: q.qpn}})
 		}
 	}
 	return true
@@ -544,12 +544,8 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 		if !wqe.Signaled {
 			return
 		}
-		seq := q.execSeq
-		q.execSeq++
-		wqe := wqe
-		q.deliverInOrder(seq, func() {
-			q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpCondRearm, Status: st, QPN: q.qpn, Imm: obs})
-		})
+		q.deliverInOrder(q.nextExec(), completion{signaled: true,
+			cqe: CQE{WRID: wqe.WRID, Opcode: OpCondRearm, Status: st, QPN: q.qpn, Imm: obs}})
 	}
 	exit := func(st Status) bool {
 		// Restore the backoff WAIT to its encoded base count (Imm) so the
@@ -574,7 +570,9 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 		if !branch(target) {
 			return false
 		}
-		n.trace("prog", q.qpn, OpCondRearm, wqe.WRID, fmt.Sprintf("%s obs=%x exit=%d", st, obs, target))
+		if n.tracer != nil {
+			n.trace("prog", q.qpn, OpCondRearm, wqe.WRID, fmt.Sprintf("%s obs=%x exit=%d", st, obs, target))
+		}
 		final(st)
 		return true
 	}
@@ -617,77 +615,79 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 	if !branch(target) {
 		return false
 	}
-	n.trace("prog", q.qpn, OpCondRearm, wqe.WRID,
-		fmt.Sprintf("retry obs=%x budget=%d target=%d", obs, budget-1, target))
+	if n.tracer != nil {
+		n.trace("prog", q.qpn, OpCondRearm, wqe.WRID,
+			fmt.Sprintf("retry obs=%x budget=%d target=%d", obs, budget-1, target))
+	}
 	return true
 }
 
-// gather concatenates the WQE's scatter/gather entries from local MRs.
-func (n *NIC) gather(q *QP, w WQE) ([]byte, Status) {
-	var out []byte
+// gather concatenates the WQE's scatter/gather entries from local MRs into
+// pkt's payload, once every entry validates. The payload lives in the
+// packet's recycled buffer, which grows to the total length when short; an
+// empty gather leaves the payload nil.
+func (n *NIC) gather(pkt *packet, w WQE) Status {
+	total := 0
 	for _, sge := range w.SGEs {
 		mr := n.mrsByLKey[sge.LKey]
-		if mr == nil {
-			return nil, StatusLocalProtErr
+		if mr == nil || !mr.contains(int(sge.Offset), int(sge.Length)) {
+			return StatusLocalProtErr
 		}
-		if !mr.contains(int(sge.Offset), int(sge.Length)) {
-			return nil, StatusLocalProtErr
-		}
-		buf := make([]byte, sge.Length)
-		mr.read(int(sge.Offset), buf)
-		out = append(out, buf...)
+		total += int(sge.Length)
 	}
-	return out, StatusSuccess
+	if total == 0 {
+		return StatusSuccess
+	}
+	if cap(pkt.buf) < total {
+		pkt.buf = make([]byte, total)
+	}
+	pkt.data = pkt.buf[:total]
+	off := 0
+	for _, sge := range w.SGEs {
+		n.mrsByLKey[sge.LKey].read(int(sge.Offset), pkt.data[off:off+int(sge.Length)])
+		off += int(sge.Length)
+	}
+	return StatusSuccess
 }
 
 // initiate launches one non-WAIT WQE onto the wire (or loopback path). seq
 // is the WQE's execution order for in-order completion delivery.
 func (n *NIC) initiate(q *QP, w WQE, seq uint64) {
-	fail := func(st Status) {
-		q.deliverInOrder(seq, func() {
-			if w.Signaled {
-				q.sendCQ.push(CQE{WRID: w.WRID, Opcode: w.Opcode, Status: st, QPN: q.qpn})
-			}
-		})
-		q.enterError()
-	}
 	q.nextReqID++
 	reqID := q.nextReqID
-	pkt := &packet{srcQPN: q.qpn, dstQPN: q.peerQPN, reqID: reqID}
+	pkt := n.newPacket()
+	pkt.srcQPN, pkt.dstQPN, pkt.reqID = q.qpn, q.peerQPN, reqID
+	st := StatusSuccess
 	switch w.Opcode {
 	case OpSend:
-		data, st := n.gather(q, w)
-		if st != StatusSuccess {
-			fail(st)
-			return
-		}
-		pkt.kind, pkt.data, pkt.imm = pkSend, data, w.Imm
+		pkt.kind, pkt.imm = pkSend, w.Imm
+		st = n.gather(pkt, w)
 	case OpWrite, OpWriteImm:
-		data, st := n.gather(q, w)
-		if st != StatusSuccess {
-			fail(st)
-			return
-		}
-		pkt.kind, pkt.data, pkt.rkey, pkt.raddr, pkt.imm = pkWrite, data, w.RKey, w.RAddr, w.Imm
+		pkt.kind, pkt.rkey, pkt.raddr, pkt.imm = pkWrite, w.RKey, w.RAddr, w.Imm
 		if w.Opcode == OpWriteImm {
 			pkt.kind = pkWriteImm
 		}
+		st = n.gather(pkt, w)
 	case OpRead:
-		length := 0
-		for _, sge := range w.SGEs {
-			length += int(sge.Length)
-		}
-		pkt.kind, pkt.rkey, pkt.raddr, pkt.readLen = pkRead, w.RKey, w.RAddr, length
+		pkt.kind, pkt.rkey, pkt.raddr, pkt.readLen = pkRead, w.RKey, w.RAddr, totalSGELen(w.SGEs)
 	case OpCompSwap:
 		pkt.kind, pkt.rkey, pkt.raddr, pkt.compare, pkt.swap = pkCAS, w.RKey, w.RAddr, w.Imm, w.Swap
 	case OpMaskFAdd:
 		pkt.kind, pkt.rkey, pkt.raddr = pkMaskFAdd, w.RKey, w.RAddr
 		pkt.imm, pkt.swap, pkt.compare, pkt.gmask = w.Imm, w.Swap, w.ProgA, w.ProgB
 	default:
-		fail(StatusLocalProtErr)
+		st = StatusLocalProtErr
+	}
+	if st != StatusSuccess {
+		n.freePacket(pkt)
+		q.deliverInOrder(seq, completion{signaled: w.Signaled,
+			cqe: CQE{WRID: w.WRID, Opcode: w.Opcode, Status: st, QPN: q.qpn}})
+		q.enterError()
 		return
 	}
-	q.pending[reqID] = pendingReq{wqe: w, seq: seq}
+	p := pendingReq{wrid: w.WRID, seq: seq, opcode: w.Opcode, signaled: w.Signaled}
+	p.nsge = uint8(copy(p.sges[:], w.SGEs))
+	q.pending[reqID] = p
 	q.inFlight++
 	n.transmit(q, pkt, len(pkt.data))
 }
@@ -696,12 +696,24 @@ func (n *NIC) initiate(q *QP, w WQE, seq uint64) {
 func (n *NIC) transmit(q *QP, pkt *packet, size int) {
 	if q.loopback {
 		// Local DMA path: charge receive-side processing without wire time.
-		n.eng.Schedule(n.cfg.RxProcess, func() {
-			n.handlePacket(pkt)
-		})
+		pkt.rx = n
+		n.eng.ScheduleCall(n.cfg.RxProcess, rxPacket, pkt)
 		return
 	}
 	n.net.Send(fabric.Message{From: n.node, To: q.peerNode, Size: size, Payload: pkt})
+}
+
+// rxPacket and processPacket are the static event bodies of a packet's
+// receive path: the packet names its receiving NIC, so scheduling them
+// captures nothing.
+func rxPacket(p any) {
+	pkt := p.(*packet)
+	pkt.rx.handlePacket(pkt)
+}
+
+func processPacket(p any) {
+	pkt := p.(*packet)
+	pkt.rx.process(pkt)
 }
 
 // handleMessage is the fabric delivery hook.
@@ -727,15 +739,23 @@ func (n *NIC) handlePacket(pkt *packet) {
 	if q != nil {
 		q.rxFree = end
 	}
-	n.eng.ScheduleAt(end, func() { n.process(pkt) })
+	pkt.rx = n
+	n.eng.ScheduleCallAt(end, processPacket, pkt)
 }
 
+// process executes an inbound packet. The packet and its gather buffer are
+// recycled when it returns: nothing below retains them (Backing.WriteAt
+// copies payload bytes, and READ response completions keep only the
+// response's own data slice).
 func (n *NIC) process(pkt *packet) {
+	defer n.freePacket(pkt)
 	q := n.qps[pkt.dstQPN]
 	if q == nil {
 		return // stale packet to a destroyed QP
 	}
-	n.trace("rx", pkt.dstQPN, 0, 0, fmt.Sprintf("%s %dB raddr=%d", pktKindName(pkt.kind), len(pkt.data), pkt.raddr))
+	if n.tracer != nil {
+		n.trace("rx", pkt.dstQPN, 0, 0, fmt.Sprintf("%s %dB raddr=%d", pktKindName(pkt.kind), len(pkt.data), pkt.raddr))
+	}
 	switch pkt.kind {
 	case pkSend:
 		n.counters.SendsRx++
@@ -744,7 +764,7 @@ func (n *NIC) process(pkt *packet) {
 	case pkWrite:
 		n.counters.WritesRx++
 		st := n.remoteWrite(pkt)
-		n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: st}, 0)
+		n.ack(q, pkt, st)
 		if st != StatusSuccess {
 			q.enterError()
 		}
@@ -752,7 +772,7 @@ func (n *NIC) process(pkt *packet) {
 		n.counters.WritesRx++
 		st := n.remoteWrite(pkt)
 		if st != StatusSuccess {
-			n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: st}, 0)
+			n.ack(q, pkt, st)
 			q.enterError()
 			return
 		}
@@ -761,7 +781,7 @@ func (n *NIC) process(pkt *packet) {
 	case pkRead:
 		n.counters.ReadsRx++
 		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkReadResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
+		resp := n.response(q, pkt, pkReadResp)
 		switch {
 		case mr == nil:
 			resp.status = StatusRemoteInvalidRkey
@@ -787,13 +807,12 @@ func (n *NIC) process(pkt *packet) {
 			n.counters.AccessFaults++
 		}
 		// Flush cost is charged before the response leaves.
-		n.eng.Schedule(n.cfg.CacheFlush, func() {
-			n.respond(q, resp, len(resp.data))
-		})
+		resp.wire = len(resp.data)
+		n.eng.ScheduleCall(n.cfg.CacheFlush, sendResponse, resp)
 	case pkCAS:
 		n.counters.AtomicsRx++
 		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkCASResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
+		resp := n.response(q, pkt, pkCASResp)
 		switch {
 		case mr == nil:
 			resp.status = StatusRemoteInvalidRkey
@@ -802,13 +821,11 @@ func (n *NIC) process(pkt *packet) {
 		case !mr.contains(int(pkt.raddr), 8):
 			resp.status = StatusRemoteAccessErr
 		default:
-			var cur [8]byte
-			mr.read(int(pkt.raddr), cur[:])
-			orig := le64(cur[:])
+			mr.read(int(pkt.raddr), n.word[:])
+			orig := le64(n.word[:])
 			if orig == pkt.compare {
-				var nv [8]byte
-				putLE64(nv[:], pkt.swap)
-				mr.write(int(pkt.raddr), nv[:])
+				putLE64(n.word[:], pkt.swap)
+				mr.write(int(pkt.raddr), n.word[:])
 			}
 			resp.imm = orig
 			resp.status = StatusSuccess
@@ -816,9 +833,8 @@ func (n *NIC) process(pkt *packet) {
 		if resp.status != StatusSuccess {
 			n.counters.AccessFaults++
 		}
-		n.eng.Schedule(n.cfg.AtomicOp, func() {
-			n.respond(q, resp, 8)
-		})
+		resp.wire = 8
+		n.eng.ScheduleCall(n.cfg.AtomicOp, sendResponse, resp)
 	case pkMaskFAdd:
 		// Masked fetch-and-add in the style of ConnectX extended atomics:
 		// the addend applies only within the field mask (swap; 0 = whole
@@ -827,7 +843,7 @@ func (n *NIC) process(pkt *packet) {
 		// The original word always returns, applied or not.
 		n.counters.AtomicsRx++
 		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkCASResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
+		resp := n.response(q, pkt, pkCASResp)
 		switch {
 		case mr == nil:
 			resp.status = StatusRemoteInvalidRkey
@@ -836,17 +852,15 @@ func (n *NIC) process(pkt *packet) {
 		case !mr.contains(int(pkt.raddr), 8):
 			resp.status = StatusRemoteAccessErr
 		default:
-			var cur [8]byte
-			mr.read(int(pkt.raddr), cur[:])
-			orig := le64(cur[:])
+			mr.read(int(pkt.raddr), n.word[:])
+			orig := le64(n.word[:])
 			if pkt.gmask == 0 || orig&pkt.gmask == pkt.compare {
 				field := pkt.swap
 				if field == 0 {
 					field = ^uint64(0)
 				}
-				var nv [8]byte
-				putLE64(nv[:], (orig+pkt.imm)&field|orig&^field)
-				mr.write(int(pkt.raddr), nv[:])
+				putLE64(n.word[:], (orig+pkt.imm)&field|orig&^field)
+				mr.write(int(pkt.raddr), n.word[:])
 			}
 			resp.imm = orig
 			resp.status = StatusSuccess
@@ -854,17 +868,16 @@ func (n *NIC) process(pkt *packet) {
 		if resp.status != StatusSuccess {
 			n.counters.AccessFaults++
 		}
-		n.eng.Schedule(n.cfg.AtomicOp, func() {
-			n.respond(q, resp, 8)
-		})
+		resp.wire = 8
+		n.eng.ScheduleCall(n.cfg.AtomicOp, sendResponse, resp)
 	case pkAck:
 		n.completeRequest(q, pkt, nil)
 	case pkReadResp:
 		n.completeRequest(q, pkt, pkt.data)
 	case pkCASResp:
-		var orig [8]byte
-		putLE64(orig[:], pkt.imm)
-		n.completeRequest(q, pkt, orig[:])
+		orig := make([]byte, 8) // outlives pkt until in-order delivery
+		putLE64(orig, pkt.imm)
+		n.completeRequest(q, pkt, orig)
 	}
 }
 
@@ -892,31 +905,19 @@ func (n *NIC) recvConsume(q *QP, pkt *packet, data []byte, immOnly bool) {
 	rwqe, ok := q.rq.peek()
 	if !ok {
 		n.counters.RNRs++
-		n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: StatusRNR}, 0)
+		n.ack(q, pkt, StatusRNR)
 		q.enterError()
 		return
 	}
 	q.rq.advance()
 	status := StatusSuccess
 	if !immOnly {
-		remaining := data
-		for _, sge := range rwqe.SGEs {
-			if len(remaining) == 0 {
-				break
-			}
-			mr := n.mrsByLKey[sge.LKey]
-			if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(remaining))) {
-				status = StatusLocalProtErr
-				break
-			}
-			chunk := remaining
-			if len(chunk) > int(sge.Length) {
-				chunk = chunk[:sge.Length]
-			}
-			mr.write(int(sge.Offset), chunk)
-			remaining = remaining[len(chunk):]
-		}
-		if status == StatusSuccess && len(remaining) > 0 {
+		// Scatter from a copy of the SGEs: the writes can re-kick queues,
+		// and a nested decode on this table would overwrite rwqe's.
+		var sges [MaxSGE]SGE
+		var left int
+		status, left = n.scatter(sges[:copy(sges[:], rwqe.SGEs)], data)
+		if status == StatusSuccess && left > 0 {
 			status = StatusLengthErr
 		}
 	}
@@ -932,15 +933,86 @@ func (n *NIC) recvConsume(q *QP, pkt *packet, data []byte, immOnly bool) {
 		Imm:     pkt.imm,
 		ByteLen: byteLen,
 	})
-	n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: status}, 0)
+	n.ack(q, pkt, status)
 	if status != StatusSuccess {
 		q.enterError()
 	}
 }
 
-// respond sends a response packet back toward the requester.
-func (n *NIC) respond(q *QP, pkt *packet, size int) {
-	n.transmit(q, pkt, size)
+// scatter writes data across sges in order, stopping when data runs out.
+// It returns StatusLocalProtErr on a bad entry, and the count of bytes the
+// entries had no room for.
+func (n *NIC) scatter(sges []SGE, data []byte) (Status, int) {
+	remaining := data
+	for _, sge := range sges {
+		if len(remaining) == 0 {
+			break
+		}
+		mr := n.mrsByLKey[sge.LKey]
+		if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(remaining))) {
+			return StatusLocalProtErr, len(remaining)
+		}
+		chunk := remaining
+		if len(chunk) > int(sge.Length) {
+			chunk = chunk[:sge.Length]
+		}
+		mr.write(int(sge.Offset), chunk)
+		remaining = remaining[len(chunk):]
+	}
+	return StatusSuccess, len(remaining)
+}
+
+// response starts the response packet of kind to request req on q.
+func (n *NIC) response(q *QP, req *packet, kind packetKind) *packet {
+	resp := n.newPacket()
+	resp.kind, resp.dstQPN, resp.reqID, resp.from = kind, req.srcQPN, req.reqID, q
+	return resp
+}
+
+// ack answers request req on q at once with an empty acknowledgement.
+func (n *NIC) ack(q *QP, req *packet, st Status) {
+	resp := n.response(q, req, pkAck)
+	resp.status = st
+	n.transmit(q, resp, 0)
+}
+
+// sendResponse is the event that sends a READ or atomic response once its
+// execution cost has been charged.
+func sendResponse(p any) {
+	resp := p.(*packet)
+	resp.from.nic.transmit(resp.from, resp, resp.wire)
+}
+
+// maxFreePackets bounds each NIC's packet free list, and maxPooledPayload
+// the gather buffer a free packet keeps.
+const (
+	maxFreePackets   = 64
+	maxPooledPayload = 4096
+)
+
+// newPacket takes a zeroed packet from the NIC's free list. Packets are
+// freed by the NIC that receives them; since every request is answered,
+// each NIC frees about as many as it takes.
+func (n *NIC) newPacket() *packet {
+	if k := len(n.freePkts); k > 0 {
+		p := n.freePkts[k-1]
+		n.freePkts = n.freePkts[:k-1]
+		return p
+	}
+	return new(packet)
+}
+
+// freePacket recycles a packet whose receive processing has finished.
+func (n *NIC) freePacket(p *packet) {
+	if len(n.freePkts) >= maxFreePackets {
+		return
+	}
+	buf := p.buf
+	*p = packet{}
+	if cap(buf) <= maxPooledPayload {
+		p.buf = buf[:0]
+	}
+	n.freePkts = append(n.freePkts, p)
 }
 
 // completeRequest matches a response to its pending request and raises the
@@ -952,38 +1024,18 @@ func (n *NIC) completeRequest(q *QP, pkt *packet, scatter []byte) {
 	}
 	delete(q.pending, pkt.reqID)
 	q.inFlight--
-	q.deliverInOrder(p.seq, func() {
-		st := pkt.status
-		if st == StatusSuccess && scatter != nil && len(p.wqe.SGEs) > 0 {
-			remaining := scatter
-			for _, sge := range p.wqe.SGEs {
-				if len(remaining) == 0 {
-					break
-				}
-				mr := n.mrsByLKey[sge.LKey]
-				if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(remaining))) {
-					st = StatusLocalProtErr
-					break
-				}
-				chunk := remaining
-				if len(chunk) > int(sge.Length) {
-					chunk = chunk[:sge.Length]
-				}
-				mr.write(int(sge.Offset), chunk)
-				remaining = remaining[len(chunk):]
-			}
-		}
-		if p.wqe.Signaled {
-			cqe := CQE{WRID: p.wqe.WRID, Opcode: p.wqe.Opcode, Status: st, QPN: q.qpn, ByteLen: len(scatter)}
-			if (p.wqe.Opcode == OpCompSwap || p.wqe.Opcode == OpMaskFAdd) && len(scatter) == 8 {
-				cqe.Imm = le64(scatter)
-			}
-			q.sendCQ.push(cqe)
-		}
-		if st != StatusSuccess {
-			q.enterError()
-		}
-	})
+	c := completion{
+		signaled: p.signaled,
+		cqe:      CQE{WRID: p.wrid, Opcode: p.opcode, Status: pkt.status, QPN: q.qpn, ByteLen: len(scatter)},
+		response: true,
+		scatter:  scatter,
+		nsge:     p.nsge,
+		sges:     p.sges,
+	}
+	if (p.opcode == OpCompSwap || p.opcode == OpMaskFAdd) && len(scatter) == 8 {
+		c.cqe.Imm = le64(scatter)
+	}
+	q.deliverInOrder(p.seq, c)
 }
 
 func totalSGELen(sges []SGE) int {

@@ -328,3 +328,47 @@ func TestProgramDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic program: (%v,%d,%d) vs (%v,%d,%d)", t1, ticks1, br1, t2, ticks2, br2)
 	}
 }
+
+// progTrace runs build on a fresh rig with a tracer attached and returns
+// the Info strings of its "prog" events.
+func progTrace(t *testing.T, build func(r *rig, tcq *CQ)) []string {
+	t.Helper()
+	r, tcq := progRig(t, 10*sim.Microsecond)
+	var infos []string
+	r.na.SetTracer(func(e TraceEvent) {
+		if e.Kind == "prog" {
+			infos = append(infos, e.Info)
+		}
+	})
+	build(r, tcq)
+	r.eng.Drain()
+	return infos
+}
+
+// Program trace events keep their exact wording: timelines and span
+// bridges render the Info string verbatim.
+func TestProgTraceInfo(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(r *rig, tcq *CQ)
+		want  []string
+	}{
+		{"guard pass", func(r *rig, _ *CQ) { guardProgram(t, r, 42, 42, 0) },
+			[]string{"pass obs=2a"}},
+		{"guard skip", func(r *rig, _ *CQ) { guardProgram(t, r, 0x41, 42, 0) },
+			[]string{"skip 1 obs=41"}},
+		{"cond rearm retry", func(r *rig, tcq *CQ) { condRearmProgram(t, r, tcq, 1, 2, 4) },
+			[]string{"retry obs=1 budget=1 target=0", "retry obs=1 budget=0 target=0"}},
+	}
+	for _, c := range cases {
+		got := progTrace(t, c.build)
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: prog events %q, want %q", c.name, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("%s: prog event %d = %q, want %q", c.name, i, got[i], c.want[i])
+			}
+		}
+	}
+}

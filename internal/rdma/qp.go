@@ -1,7 +1,9 @@
 package rdma
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hyperloop/internal/fabric"
 	"hyperloop/internal/sim"
@@ -31,10 +33,15 @@ func (s QPState) String() string {
 	}
 }
 
-// pendingReq tracks an initiated request awaiting its remote response.
+// pendingReq tracks an initiated request awaiting its remote response. It
+// stays within 128 bytes, so the pending map stores it inline.
 type pendingReq struct {
-	wqe WQE
-	seq uint64 // execution order for in-order completion delivery
+	wrid     uint64
+	seq      uint64 // execution order for in-order completion delivery
+	opcode   Opcode
+	signaled bool
+	nsge     uint8
+	sges     [MaxSGE]SGE // where a READ or atomic response scatters
 }
 
 // QP is a queue pair. Its send and receive queues are WQETables whose slots
@@ -64,10 +71,17 @@ type QP struct {
 	// Send-side completions are delivered strictly in WQE order, as real
 	// RC queue pairs guarantee: a fast op (NOP, local atomic) posted after
 	// a slower in-flight one must not surface its CQE first — HyperLoop's
-	// WAIT chains depend on this.
+	// WAIT chains depend on this. reorder parks completions by execution
+	// sequence (slot seq & (len-1)) until every earlier one has delivered.
 	execSeq    uint64
 	deliverSeq uint64
-	reorder    map[uint64]func()
+	reorder    []completion
+
+	// The WQE whose initiation is scheduled (sqBusy), its SGEs and its
+	// execution sequence: at most one per send queue is in flight.
+	initWQE  WQE
+	initSGEs [MaxSGE]SGE
+	initSeq  uint64
 
 	// rxFree serializes responder-side processing: inbound requests on a
 	// QP execute in arrival (PSN) order, so a cheap request (0-byte READ)
@@ -76,21 +90,80 @@ type QP struct {
 	rxFree sim.Time
 }
 
-// deliverInOrder runs fn once all earlier send-side completions of this QP
-// have been delivered.
-func (q *QP) deliverInOrder(seq uint64, fn func()) {
-	if q.reorder == nil {
-		q.reorder = make(map[uint64]func())
+// completion is one send-side completion awaiting in-order delivery.
+type completion struct {
+	ready    bool
+	signaled bool // push cqe to the send CQ
+	cqe      CQE
+	// A response completion first scatters returned data (READ and atomic
+	// responses) into the request's SGEs, and faults the QP if the
+	// response or the scatter failed.
+	response bool
+	scatter  []byte
+	nsge     uint8
+	sges     [MaxSGE]SGE
+}
+
+// deliverInOrder delivers c as the completion of execution sequence seq
+// once all earlier send-side completions of this QP have been delivered.
+func (q *QP) deliverInOrder(seq uint64, c completion) {
+	if seq-q.deliverSeq >= uint64(len(q.reorder)) {
+		q.growReorder(seq - q.deliverSeq + 1)
 	}
-	q.reorder[seq] = fn
+	c.ready = true
+	q.reorder[seq&uint64(len(q.reorder)-1)] = c
 	for {
-		next, ok := q.reorder[q.deliverSeq]
-		if !ok {
+		slot := &q.reorder[q.deliverSeq&uint64(len(q.reorder)-1)]
+		if !slot.ready {
 			return
 		}
-		delete(q.reorder, q.deliverSeq)
+		next := *slot
+		*slot = completion{}
 		q.deliverSeq++
-		next()
+		q.deliver(next)
+	}
+}
+
+// nextExec claims the next execution sequence number.
+func (q *QP) nextExec() uint64 {
+	seq := q.execSeq
+	q.execSeq++
+	return seq
+}
+
+// growReorder resizes the reorder ring to a power of two holding at least
+// span sequences from deliverSeq on. Its size tracks the most completions
+// ever outstanding on the QP.
+func (q *QP) growReorder(span uint64) {
+	size := uint64(max(len(q.reorder), 4))
+	for size < span {
+		size *= 2
+	}
+	grown := make([]completion, size)
+	if old := uint64(len(q.reorder)); old > 0 {
+		for s := q.deliverSeq; s < q.deliverSeq+old; s++ {
+			grown[s&(size-1)] = q.reorder[s&(old-1)]
+		}
+	}
+	q.reorder = grown
+}
+
+// deliver raises one completion on the send CQ.
+func (q *QP) deliver(c completion) {
+	if !c.response {
+		if c.signaled {
+			q.sendCQ.push(c.cqe)
+		}
+		return
+	}
+	if c.cqe.Status == StatusSuccess && c.scatter != nil && c.nsge > 0 {
+		c.cqe.Status, _ = q.nic.scatter(c.sges[:c.nsge], c.scatter)
+	}
+	if c.signaled {
+		q.sendCQ.push(c.cqe)
+	}
+	if c.cqe.Status != StatusSuccess {
+		q.enterError()
 	}
 }
 
@@ -260,25 +333,27 @@ func (q *QP) Doorbell(idx int) {
 	if q.nic.cfg.DoorbellCost > 0 {
 		q.dbPending++
 	}
-	off := q.sq.SlotOffset(idx) + offFlags
-	var b [1]byte
-	q.sq.mr.backing.ReadAt(off, b[:])
-	b[0] |= flagHWOwned
-	q.sq.mr.backing.WriteAt(off, b[:])
+	q.sq.setSlotOwned(idx, true)
 	q.nic.kick(q)
 }
 
 // enterError transitions the QP to error state and flushes outstanding
-// work with StatusFlushErr completions.
+// work with StatusFlushErr completions, in execution order: in-flight
+// requests first, then the unexecuted send queue.
 func (q *QP) enterError() {
 	if q.state == QPError {
 		return
 	}
 	q.state = QPError
+	inflight := make([]pendingReq, 0, len(q.pending))
 	for id, p := range q.pending {
 		delete(q.pending, id)
-		if p.wqe.Signaled {
-			q.sendCQ.push(CQE{WRID: p.wqe.WRID, Opcode: p.wqe.Opcode, Status: StatusFlushErr, QPN: q.qpn})
+		inflight = append(inflight, p)
+	}
+	slices.SortFunc(inflight, func(a, b pendingReq) int { return cmp.Compare(a.seq, b.seq) })
+	for _, p := range inflight {
+		if p.signaled {
+			q.sendCQ.push(CQE{WRID: p.wrid, Opcode: p.opcode, Status: StatusFlushErr, QPN: q.qpn})
 		}
 	}
 	for {

@@ -724,6 +724,38 @@ func TestTracerEmitsEvents(t *testing.T) {
 	}
 }
 
+// A QP entering error with requests in flight flushes them in post order:
+// RC completes in WQE order even on the error path, and the run must not
+// depend on map iteration order.
+func TestErrorFlushInPostOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		r := newRig(t)
+		src := r.na.RegisterRAM(64, 0)
+		dst := r.nb.RegisterRAM(64, AccessRemoteWrite)
+		r.net.Cut(r.na.Node(), r.nb.Node())
+		const n = 6
+		for i := 1; i <= n; i++ {
+			if _, err := r.qa.PostSend(WQE{Opcode: OpWrite, Signaled: true, WRID: uint64(i),
+				RKey: dst.RKey(), RAddr: uint64(8 * i),
+				SGEs: []SGE{{LKey: src.LKey(), Offset: 0, Length: 8}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.eng.Drain() // every request initiated and lost on the severed link
+		r.na.DestroyQP(r.qa)
+		cqes := r.acq.Poll(2 * n)
+		if len(cqes) != n {
+			t.Fatalf("run %d: %d flushed completions, want %d", run, len(cqes), n)
+		}
+		for i, c := range cqes {
+			if c.WRID != uint64(i+1) || c.Status != StatusFlushErr {
+				t.Fatalf("run %d: completion %d = WRID %d %s, want WRID %d %s",
+					run, i, c.WRID, c.Status, i+1, StatusFlushErr)
+			}
+		}
+	}
+}
+
 func TestDestroyQP(t *testing.T) {
 	r := newRig(t)
 	src := r.na.RegisterRAM(16, 0)
@@ -897,5 +929,30 @@ func TestStallDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("stalled runs diverged: %v vs %v", a, b)
+	}
+}
+
+// BenchmarkWQETablePostPeek is the WQE-codec rung of the benchmark ladder:
+// encode and post one descriptor, then peek (decode) and consume it. The
+// table stages both directions through its slot scratch, so this reports 0
+// allocs/op.
+func BenchmarkWQETablePostPeek(b *testing.B) {
+	eng := sim.NewEngine()
+	nic := NewNIC(eng, fabric.New(eng, fabric.Config{}, sim.NewRand(1)), Config{})
+	tbl := newWQETable(nic.RegisterRAM(64*SlotSize, AccessLocalWrite), 64)
+	w := WQE{Opcode: OpWrite, Signaled: true, HWOwned: true, RKey: 7, RAddr: 4096, WRID: 1,
+		SGEs: []SGE{{LKey: 1, Offset: 0, Length: 1024}, {LKey: 2, Offset: 64, Length: 64}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.WRID = uint64(i)
+		if _, err := tbl.post(&w); err != nil {
+			b.Fatal(err)
+		}
+		got, ok := tbl.peek()
+		if !ok || got.WRID != w.WRID || len(got.SGEs) != 2 {
+			b.Fatalf("peek = %+v, %v", got, ok)
+		}
+		tbl.advance()
 	}
 }

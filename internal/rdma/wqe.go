@@ -114,7 +114,11 @@ func (w *WQE) Encode(dst []byte) {
 }
 
 // DecodeWQE parses a 128-byte slot image.
-func DecodeWQE(src []byte) WQE {
+func DecodeWQE(src []byte) WQE { return decodeWQE(src, nil) }
+
+// decodeWQE parses a slot image, decoding its SGEs into sges[:n] (freshly
+// allocated when sges is nil; otherwise it needs MaxSGE capacity).
+func decodeWQE(src []byte, sges []SGE) WQE {
 	if len(src) < SlotSize {
 		panic(fmt.Sprintf("rdma: decode from %d bytes, need %d", len(src), SlotSize))
 	}
@@ -137,13 +141,20 @@ func DecodeWQE(src []byte) WQE {
 	if n > MaxSGE {
 		n = MaxSGE
 	}
-	for i := 0; i < n; i++ {
+	if n == 0 {
+		return w
+	}
+	if sges == nil {
+		sges = make([]SGE, n)
+	}
+	w.SGEs = sges[:n]
+	for i := range w.SGEs {
 		base := offSGEs + i*sgeSize
-		w.SGEs = append(w.SGEs, SGE{
+		w.SGEs[i] = SGE{
 			LKey:   binary.LittleEndian.Uint32(src[base:]),
 			Length: binary.LittleEndian.Uint32(src[base+4:]),
 			Offset: binary.LittleEndian.Uint64(src[base+8:]),
-		})
+		}
 	}
 	return w
 }
@@ -163,6 +174,13 @@ type WQETable struct {
 	slots int
 	head  int // next slot the NIC will consider (consumer)
 	tail  int // next free slot for posting (producer)
+	// scratch stages one slot image for post, peek and readSlot, which
+	// run on every doorbell and kick. Backing.WriteAt does not retain its
+	// source, so one buffer per table serves every encode and decode.
+	scratch [SlotSize]byte
+	// sges holds the SGEs of the WQE last decoded by peek or readSlot: the
+	// returned WQE's SGEs alias it until the next decode on this table.
+	sges [MaxSGE]SGE
 }
 
 func newWQETable(mr *MemoryRegion, slots int) *WQETable {
@@ -193,21 +211,19 @@ func (t *WQETable) post(w *WQE) (int, error) {
 		return 0, ErrQueueFull
 	}
 	idx := t.tail
-	buf := make([]byte, SlotSize)
-	w.Encode(buf)
-	t.mr.backing.WriteAt(t.SlotOffset(idx), buf)
+	w.Encode(t.scratch[:])
+	t.mr.backing.WriteAt(t.SlotOffset(idx), t.scratch[:])
 	t.tail++
 	return idx, nil
 }
 
-// peek decodes the head slot without consuming it.
+// peek decodes the head slot without consuming it. The WQE's SGEs are only
+// valid until the table's next decode.
 func (t *WQETable) peek() (WQE, bool) {
 	if t.head >= t.tail {
 		return WQE{}, false
 	}
-	buf := make([]byte, SlotSize)
-	t.mr.backing.ReadAt(t.SlotOffset(t.head), buf)
-	return DecodeWQE(buf), true
+	return t.readSlot(t.head), true
 }
 
 // advance consumes the head slot.
@@ -228,16 +244,16 @@ func (t *WQETable) rewindTo(abs int) {
 }
 
 // readSlot decodes the slot at absolute index abs without consuming it.
+// The WQE's SGEs are only valid until the table's next decode.
 func (t *WQETable) readSlot(abs int) WQE {
-	buf := make([]byte, SlotSize)
-	t.mr.backing.ReadAt(t.SlotOffset(abs), buf)
-	return DecodeWQE(buf)
+	t.mr.backing.ReadAt(t.SlotOffset(abs), t.scratch[:])
+	return decodeWQE(t.scratch[:], t.sges[:])
 }
 
 // slotFlags reads the flag byte of slot abs.
 func (t *WQETable) slotFlags(abs int) byte {
-	var b [1]byte
-	t.mr.backing.ReadAt(t.SlotOffset(abs)+offFlags, b[:])
+	b := t.scratch[:1]
+	t.mr.backing.ReadAt(t.SlotOffset(abs)+offFlags, b)
 	return b[0]
 }
 
@@ -247,21 +263,21 @@ func (t *WQETable) slotFlags(abs int) byte {
 // state change must not recursively re-kick the queue mid-interpretation.
 func (t *WQETable) setSlotOwned(abs int, owned bool) {
 	off := t.SlotOffset(abs) + offFlags
-	var b [1]byte
-	t.mr.backing.ReadAt(off, b[:])
+	b := t.scratch[:1]
+	t.mr.backing.ReadAt(off, b)
 	if owned {
 		b[0] |= flagHWOwned
 	} else {
 		b[0] &^= flagHWOwned
 	}
-	t.mr.backing.WriteAt(off, b[:])
+	t.mr.backing.WriteAt(off, b)
 }
 
 // patchSlotU32 overwrites one 4-byte field of the encoded slot at abs.
 func (t *WQETable) patchSlotU32(abs, fieldOff int, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b[:])
+	b := t.scratch[:4]
+	binary.LittleEndian.PutUint32(b, v)
+	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b)
 }
 
 // PatchSlotU64 overwrites one 8-byte field of the encoded slot at absolute
@@ -273,9 +289,9 @@ func (t *WQETable) PatchSlotU64(abs int, fieldOff int, v uint64) {
 	if fieldOff < 0 || fieldOff+8 > SlotSize {
 		panic(fmt.Sprintf("rdma: patch field offset %d outside slot", fieldOff))
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b[:])
+	b := t.scratch[:8]
+	binary.LittleEndian.PutUint64(b, v)
+	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b)
 }
 
 // Encoded-slot field offsets exported for host-side template patching.

@@ -64,11 +64,14 @@ func (id EventID) Valid() bool { return id.gen != 0 }
 
 // eventSlot is one slab cell. Slots are recycled through a free list; gen
 // increments on every release so stale EventIDs can never touch a reused
-// slot.
+// slot. Every event fires as call(arg): a closure scheduled with
+// Schedule/ScheduleAt is stored as the arg of the runFunc trampoline, so
+// both event forms share this one slot path.
 type eventSlot struct {
 	at      Time
 	seq     uint64
-	fn      func()
+	call    func(any)
+	arg     any
 	src     int32 // merge-order source tag: the engine's own tag for local events, the sender's partition tag for cross-partition arrivals
 	gen     uint32
 	heapIdx int32 // index into Engine.heap; -1 when not queued
@@ -188,7 +191,7 @@ func (e *Engine) siftDown(i int) int {
 // handles to it.
 func (e *Engine) release(si int32) {
 	s := &e.slots[si]
-	s.fn = nil
+	s.call, s.arg = nil, nil
 	s.heapIdx = -1
 	s.gen++
 	if s.gen == 0 { // skip 0 on wrap: gen 0 marks the invalid zero EventID
@@ -210,18 +213,43 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // ScheduleAt runs fn at instant t. Scheduling in the past panics: in a
 // deterministic simulation that is always a bug in the caller.
 func (e *Engine) ScheduleAt(t Time, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
-	e.seq++
-	return e.insert(t, e.tag, e.seq, fn)
+	return e.ScheduleCallAt(t, runFunc, fn)
 }
 
+// ScheduleCall runs call(arg) after delay d; see ScheduleCallAt.
+func (e *Engine) ScheduleCall(d Duration, call func(any), arg any) EventID {
+	if d < 0 {
+		d = 0
+	}
+	return e.ScheduleCallAt(e.now.Add(d), call, arg)
+}
+
+// ScheduleCallAt runs call(arg) at instant t. It is the allocation-free
+// event form for hot paths: call is a static function and arg a pointer the
+// caller already holds, so nothing is captured and nothing escapes.
+// Ordering is exactly ScheduleAt's: one sequence number per event, whatever
+// the form.
+func (e *Engine) ScheduleCallAt(t Time, call func(any), arg any) EventID {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	if call == nil {
+		panic("sim: schedule nil func")
+	}
+	e.seq++
+	return e.insert(t, e.tag, e.seq, call, arg)
+}
+
+// runFunc is the trampoline that fires a closure scheduled as an event arg.
+// A func value is pointer-shaped, so storing it in an interface allocates
+// nothing.
+func runFunc(fn any) { fn.(func())() }
+
 // insert places one event into the slab and heap with an explicit merge key.
-func (e *Engine) insert(t Time, src int32, seq uint64, fn func()) EventID {
+func (e *Engine) insert(t Time, src int32, seq uint64, call func(any), arg any) EventID {
 	var si int32
 	if e.freeHead >= 0 {
 		si = e.freeHead
@@ -231,7 +259,7 @@ func (e *Engine) insert(t Time, src int32, seq uint64, fn func()) EventID {
 		si = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[si]
-	s.at, s.src, s.seq, s.fn = t, src, seq, fn
+	s.at, s.src, s.seq, s.call, s.arg = t, src, seq, call, arg
 	i := len(e.heap)
 	e.heap = append(e.heap, si)
 	s.heapIdx = int32(i)
@@ -247,7 +275,7 @@ func (e *Engine) scheduleArrival(t Time, src int32, seq uint64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: arrival at %v before now %v", t, e.now))
 	}
-	e.insert(t, src, seq, fn)
+	e.insert(t, src, seq, runFunc, fn)
 }
 
 // runBefore fires events strictly earlier than horizon, in (time, src, seq)
@@ -315,7 +343,7 @@ func (e *Engine) Step() bool {
 	}
 	si := e.heap[0]
 	s := &e.slots[si]
-	at, fn := s.at, s.fn
+	at, call, arg := s.at, s.call, s.arg
 	last := len(e.heap) - 1
 	e.heap[0] = e.heap[last]
 	e.heap = e.heap[:last]
@@ -323,13 +351,13 @@ func (e *Engine) Step() bool {
 		e.slots[e.heap[0]].heapIdx = 0
 		e.siftDown(0)
 	}
-	// Release before invoking fn: the handle is already stale inside the
-	// callback (as before the slab rewrite), and fn's own scheduling can
-	// recycle the slot immediately.
+	// Release before invoking the event: the handle is already stale inside
+	// the callback (as before the slab rewrite), and the callback's own
+	// scheduling can recycle the slot immediately.
 	e.release(si)
 	e.now = at
 	e.fired++
-	fn()
+	call(arg)
 	return true
 }
 

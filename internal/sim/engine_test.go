@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -524,6 +525,33 @@ func BenchmarkEngineCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := e.Schedule(Duration(1+i%512), fn)
 		e.Cancel(id)
+	}
+}
+
+// Both event forms share one sequence: same-instant ties fire in schedule
+// order whichever form scheduled them, and the call form allocates nothing.
+func TestScheduleCallAtOrderAndAllocs(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	type box struct{ v int }
+	record := func(a any) { got = append(got, a.(*box).v) }
+	at := Time(5)
+	e.ScheduleCallAt(at, record, &box{1})
+	e.ScheduleAt(at, func() { got = append(got, 2) })
+	e.ScheduleCallAt(at, record, &box{3})
+	e.ScheduleCallAt(at-1, record, &box{0})
+	e.Drain()
+	if fmt.Sprint(got) != "[0 1 2 3]" {
+		t.Fatalf("fire order %v, want [0 1 2 3]", got)
+	}
+	b := &box{}
+	inc := func(a any) { a.(*box).v++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ScheduleCallAt(e.Now().Add(1), inc, b)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleCallAt+Step allocated %.1f times per event", allocs)
 	}
 }
 
